@@ -182,7 +182,6 @@ pub fn run_supervised(jobs: Vec<Job>) -> BTreeMap<String, JobRecord> {
             ..RetryPolicy::default()
         },
         default_timeout: Some(Duration::from_secs(600)),
-        manifest_path: None,
         ..CampaignConfig::default()
     });
     campaign

@@ -1,20 +1,21 @@
 //! Small supervised campaign used by CI and by hand to smoke-test the
 //! driver end to end: run it, kill it mid-flight, re-run it against the
-//! same manifest, and diff the report against the committed golden copy.
+//! same directory, and diff the report against the committed golden copy.
 //!
-//! The report (and the manifest) are byte-deterministic: independent of
-//! worker count, scheduling, kill timing, and how many times the campaign
-//! was resumed. The golden report lives at
-//! `crates/driver/golden/campaign_smoke.txt`.
+//! The report is byte-deterministic: independent of worker count,
+//! scheduling, kill timing, and how many times the campaign was resumed.
+//! The golden report lives at `crates/driver/golden/campaign_smoke.txt`.
 //!
 //! ```text
-//! campaign_smoke --manifest /tmp/m.json --report /tmp/report.txt \
-//!     [--workers N] [--shards N] [--cache-dir PATH]
+//! campaign_smoke --dir /tmp/campaign --report /tmp/report.txt \
+//!     [--workers N] [--cache-dir PATH]
 //! ```
 //!
-//! With `--shards N` the manifest splits into `N` crash-consistent shard
-//! files; with `--cache-dir` results are served from (and committed to) a
-//! content-addressed cache. Neither flag changes the report bytes on a
+//! The campaign's journal and snapshot (`queue.journal`,
+//! `queue.snapshot`) live in `--dir`; damaged ones are quarantined to
+//! `.corrupt` siblings and reported in a recovery banner appended to the
+//! report. With `--cache-dir` results are served from (and committed to)
+//! a content-addressed cache, which does not change the report bytes on a
 //! clean run.
 
 use ffsim_core::WrongPathMode;
@@ -113,17 +114,15 @@ fn jobs() -> Vec<Job> {
 
 struct Args {
     workers: usize,
-    shards: Option<usize>,
     cache_dir: Option<PathBuf>,
-    manifest: PathBuf,
+    dir: PathBuf,
     report: Option<PathBuf>,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut workers = 0;
-    let mut shards = None;
     let mut cache_dir = None;
-    let mut manifest = None;
+    let mut dir = None;
     let mut report = None;
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
@@ -134,24 +133,16 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--workers: {e}"))?;
             }
-            "--shards" => {
-                shards = Some(
-                    value("--shards")?
-                        .parse()
-                        .map_err(|e| format!("--shards: {e}"))?,
-                );
-            }
             "--cache-dir" => cache_dir = Some(PathBuf::from(value("--cache-dir")?)),
-            "--manifest" => manifest = Some(PathBuf::from(value("--manifest")?)),
+            "--dir" => dir = Some(PathBuf::from(value("--dir")?)),
             "--report" => report = Some(PathBuf::from(value("--report")?)),
             other => return Err(format!("unknown argument: {other}")),
         }
     }
     Ok(Args {
         workers,
-        shards,
         cache_dir,
-        manifest: manifest.ok_or("--manifest is required")?,
+        dir: dir.ok_or("--dir is required")?,
         report,
     })
 }
@@ -162,8 +153,8 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("campaign_smoke: {e}");
             eprintln!(
-                "usage: campaign_smoke --manifest PATH [--report PATH] \
-                 [--workers N] [--shards N] [--cache-dir PATH]"
+                "usage: campaign_smoke --dir PATH [--report PATH] \
+                 [--workers N] [--cache-dir PATH]"
             );
             return ExitCode::FAILURE;
         }
@@ -173,8 +164,7 @@ fn main() -> ExitCode {
     let campaign = Campaign::new(CampaignConfig {
         workers: args.workers,
         default_timeout: Some(Duration::from_secs(120)),
-        manifest_path: Some(args.manifest),
-        shards: args.shards,
+        dir: Some(args.dir),
         cache_dir: args.cache_dir,
         ..CampaignConfig::default()
     });
@@ -214,8 +204,8 @@ fn main() -> ExitCode {
     if !cached.is_empty() {
         eprint!("{cached}");
     }
-    // Host-phase attribution for the driver's own work (cache verify,
-    // shard commits) — stderr only, like every wall-clock appendix.
+    // Host-phase attribution for the driver's own work (journal appends,
+    // cache verify) — stderr only, like every wall-clock appendix.
     if let Some((_, prof)) = ffsim_driver::hostobs::snapshot() {
         let profile = report::render_profile(&prof);
         if !profile.is_empty() {

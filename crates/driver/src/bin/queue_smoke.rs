@@ -9,7 +9,7 @@
 //! verified by `results_check`.
 //!
 //! ```text
-//! queue_smoke [--dir PATH] [--report PATH] [--workers N] [--shards N]
+//! queue_smoke [--dir PATH] [--report PATH] [--workers N]
 //!     [--cache-dir PATH] [--kill-after N] [--resume]
 //! ```
 //!
@@ -159,7 +159,6 @@ impl JobRunner for KillAfter<'_> {
 struct Args {
     dir: Option<PathBuf>,
     workers: usize,
-    shards: Option<usize>,
     cache_dir: Option<PathBuf>,
     report: Option<PathBuf>,
     kill_after: Option<u64>,
@@ -170,7 +169,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         dir: None,
         workers: 0,
-        shards: None,
         cache_dir: None,
         report: None,
         kill_after: None,
@@ -185,13 +183,6 @@ fn parse_args() -> Result<Args, String> {
                 args.workers = value("--workers")?
                     .parse()
                     .map_err(|e| format!("--workers: {e}"))?;
-            }
-            "--shards" => {
-                args.shards = Some(
-                    value("--shards")?
-                        .parse()
-                        .map_err(|e| format!("--shards: {e}"))?,
-                );
             }
             "--cache-dir" => args.cache_dir = Some(PathBuf::from(value("--cache-dir")?)),
             "--report" => args.report = Some(PathBuf::from(value("--report")?)),
@@ -242,7 +233,7 @@ fn main() -> ExitCode {
             eprintln!("queue_smoke: {e}");
             eprintln!(
                 "usage: queue_smoke [--dir PATH] [--report PATH] [--workers N] \
-                 [--shards N] [--cache-dir PATH] [--kill-after N] [--resume]"
+                 [--cache-dir PATH] [--kill-after N] [--resume]"
             );
             return ExitCode::FAILURE;
         }
@@ -271,7 +262,6 @@ fn main() -> ExitCode {
     let cache_enabled = args.cache_dir.is_some();
     let queue = match JobQueue::open(QueueConfig {
         workers: args.workers,
-        shards: args.shards,
         cache_dir: args.cache_dir,
         default_timeout: Some(Duration::from_secs(120)),
         // Small enough that CI kills interleave with compaction, so the
@@ -345,7 +335,7 @@ fn main() -> ExitCode {
         eprint!("{timing}");
     }
     // Host-phase attribution for the queue's own machinery (journal
-    // appends, compactions, cache io, shard commits) plus the metric
+    // appends, compactions, cache io) plus the metric
     // counters behind it — stderr only, like every wall-clock appendix.
     if let Some((metrics, prof)) = ffsim_driver::hostobs::snapshot() {
         let profile = report::render_profile(&prof);

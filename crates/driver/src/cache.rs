@@ -2,8 +2,8 @@
 //! free.
 //!
 //! A campaign sweep re-simulates the same workload under the same
-//! configuration whenever jobs repeat across campaigns (or a manifest is
-//! lost). The cache keys each *deterministic* job result by a pair of
+//! configuration whenever jobs repeat across campaigns (or a journal is
+//! damaged and its later results must re-run). The cache keys each *deterministic* job result by a pair of
 //! digests:
 //!
 //! - the **workload digest** — FNV-1a over the program's disassembly
@@ -20,7 +20,7 @@
 //!
 //! Each entry is its own checksum-sealed file (the same
 //! [`seal`](crate::manifest::seal)/[`unseal`](crate::manifest::unseal)
-//! trailer as manifest shards), written atomically through the
+//! trailer as the queue journal), written atomically through the
 //! [`ManifestIo`] seam. A corrupt entry is **evicted and recomputed,
 //! never trusted**: [`CacheStore::lookup`] deletes it and reports the
 //! eviction so the job falls through to a real simulation. Only records
@@ -181,7 +181,7 @@ impl CacheStore {
     /// [`ManifestError::Io`] for directory creation, write, or rename
     /// failures. Callers treat a failed cache write as a lost
     /// optimization, not a lost result: the record is still committed to
-    /// its manifest shard.
+    /// the queue journal.
     pub fn store_with(
         &self,
         io: &mut dyn ManifestIo,
@@ -223,15 +223,7 @@ impl CacheStore {
             ("record".into(), persisted.to_value()),
         ])
         .to_json();
-        let path = self.entry_path(key);
-        let tmp = path.with_extension("tmp");
-        io.write(&tmp, manifest::seal(&body).as_bytes())
-            .map_err(|e| {
-                ManifestError::Io(format!("writing cache entry {}: {e}", tmp.display()))
-            })?;
-        io.rename(&tmp, &path).map_err(|e| {
-            ManifestError::Io(format!("installing cache entry {}: {e}", path.display()))
-        })
+        manifest::save_sealed_with(io, &self.entry_path(key), &body)
     }
 }
 

@@ -1,6 +1,7 @@
 //! The supervised campaign runner.
 //!
-//! A campaign executes a set of [`Job`]s across a worker pool. Every
+//! A campaign is a one-campaign drain of the durable [`JobQueue`]: its
+//! jobs are enqueued in order and a worker pool drains them. Every
 //! attempt runs under full supervision:
 //!
 //! - **panic isolation** — attempts run inside `catch_unwind`, so a panic
@@ -16,37 +17,40 @@
 //!   walk down the fidelity ladder (`wpemul → conv → instrec → nowp`),
 //!   recording every rung, instead of failing the campaign.
 //!
-//! Completed jobs are persisted after each finish — to a single JSON
-//! manifest, or (with [`CampaignConfig::shards`]) to one crash-consistent
-//! shard file per worker with its own lock, merged deterministically at
-//! report time — so a killed campaign resumes by re-running only the jobs
-//! without a record. With a [`CampaignConfig::cache_dir`], results are
+//! With a [`CampaignConfig::dir`], every finished job is one `Committed`
+//! (or `Failed`) record appended to the queue journal in that directory,
+//! so a killed campaign resumes by re-running only the jobs without a
+//! terminal record. Without one, the queue keeps its state in memory and
+//! writes no files. With a [`CampaignConfig::cache_dir`], results are
 //! additionally committed to a content-addressed cache keyed by
 //! (workload digest, config digest): a later campaign that schedules the
 //! same point serves it from the cache without simulating.
 
 use crate::cache::{self, CacheKey, CacheStore, Lookup};
 use crate::job::{
-    ladder_next, AttemptOutcome, AttemptRecord, Job, JobRecord, JobStatus, JobSummary, JobTiming,
+    ladder_next, AttemptOutcome, AttemptRecord, Job, JobRecord, JobStatus, JobSummary,
 };
 use crate::manifest::{ManifestIo, Quarantine, RealIo};
+use crate::queue::{validate_worker_count, CampaignSpec, Enqueued, JobQueue, QueueConfig};
 use crate::retry::RetryPolicy;
-use crate::shard::{validate_worker_count, ManifestStore, ShardLayout};
-use crate::telemetry::{Heartbeat, QueueGauges, Telemetry, TelemetryConfig};
+use crate::telemetry::{Telemetry, TelemetryConfig};
 use crate::watchdog::Watchdog;
 use ffsim_core::{CancelToken, SimConfig, SimError, Simulator};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// A cloneable, campaign-wide [`ManifestIo`]: every shard save and cache
-/// write goes through it, so tests inject faults ([`FaultyIo`]
-/// (crate::FaultyIo), scripted failures) into a *running* campaign and
-/// prove no committed result is ever lost. Defaults to the real
-/// filesystem.
+/// The campaign id a [`Campaign`] registers its jobs under.
+const CAMPAIGN_ID: &str = "campaign";
+
+/// A cloneable, campaign-wide [`ManifestIo`]: every journal append,
+/// snapshot install and cache write goes through it, so tests inject
+/// faults ([`FaultyIo`](crate::FaultyIo), scripted failures) into a
+/// *running* campaign and prove no committed result is ever lost.
+/// Defaults to the real filesystem.
 #[derive(Clone)]
 pub struct SharedIo(Arc<Mutex<dyn ManifestIo + Send>>);
 
@@ -83,23 +87,19 @@ impl Default for SharedIo {
 #[derive(Clone, Debug)]
 pub struct CampaignConfig {
     /// Worker threads (`0` = one per available CPU; at most
-    /// [`MAX_WORKERS`](crate::shard::MAX_WORKERS)).
+    /// [`MAX_WORKERS`](crate::MAX_WORKERS)).
     pub workers: usize,
     /// Retry policy applied to every job that does not override it.
     pub retry: RetryPolicy,
     /// Per-attempt wall-clock deadline for jobs without their own
     /// (`None` = attempts are only bounded by cancellation).
     pub default_timeout: Option<Duration>,
-    /// Manifest location (`None` = in-memory campaign, no resume).
-    pub manifest_path: Option<PathBuf>,
-    /// Manifest sharding: `None` keeps the legacy single file at
-    /// [`manifest_path`](CampaignConfig::manifest_path); `Some(n)` splits
-    /// it into `n` independently crash-consistent shard files (requires a
-    /// manifest path; `1..=MAX_SHARDS`, validated at run start).
-    pub shards: Option<usize>,
+    /// The campaign's queue directory, holding its journal and snapshot
+    /// (`None` = in-memory campaign: no files, no resume).
+    pub dir: Option<PathBuf>,
     /// Content-addressed result cache directory (`None` = no cache).
     pub cache_dir: Option<PathBuf>,
-    /// The filesystem seam used for every shard save and cache write.
+    /// The filesystem seam used for every journal append and cache write.
     /// Production campaigns keep the default real filesystem; tests
     /// inject faults.
     pub io: SharedIo,
@@ -114,8 +114,7 @@ impl Default for CampaignConfig {
             workers: 0,
             retry: RetryPolicy::default(),
             default_timeout: Some(Duration::from_secs(300)),
-            manifest_path: None,
-            shards: None,
+            dir: None,
             cache_dir: None,
             io: SharedIo::default(),
             telemetry: TelemetryConfig::from_env(),
@@ -124,24 +123,13 @@ impl Default for CampaignConfig {
 }
 
 impl CampaignConfig {
-    /// Validates the worker and shard counts, and their interaction,
-    /// before any job runs.
+    /// Validates the worker count before any job runs.
     ///
     /// # Errors
     ///
-    /// [`SimError::InvalidConfig`] for a zero or absurd shard count, an
-    /// absurd worker count, or sharding without a manifest path.
+    /// [`SimError::InvalidConfig`] for an absurd worker count.
     pub fn validate(&self) -> Result<(), SimError> {
-        validate_worker_count(self.workers)?;
-        if let Some(shards) = self.shards {
-            crate::shard::validate_shard_count(shards)?;
-            if self.manifest_path.is_none() {
-                return Err(SimError::InvalidConfig(
-                    "manifest sharding requires a manifest path".into(),
-                ));
-            }
-        }
-        Ok(())
+        validate_worker_count(self.workers)
     }
 }
 
@@ -149,11 +137,10 @@ impl CampaignConfig {
 #[derive(Clone, Debug)]
 pub struct CampaignOutcome {
     /// Records for every job with a terminal status — freshly executed
-    /// ones plus any loaded from the manifest, merged deterministically
-    /// across shards (id-sorted, independent of worker count and
-    /// scheduling).
+    /// ones plus any already in the journal — id-sorted, independent of
+    /// worker count and scheduling.
     pub records: BTreeMap<String, JobRecord>,
-    /// Jobs skipped because the manifest already had their record.
+    /// Jobs skipped because the journal already had their record.
     pub resumed: usize,
     /// Jobs executed to a terminal status by this invocation (cache hits
     /// included).
@@ -167,8 +154,7 @@ pub struct CampaignOutcome {
     /// Whether the campaign token fired; unfinished jobs stay absent from
     /// [`CampaignOutcome::records`] and re-run on resume.
     pub cancelled: bool,
-    /// One notice per manifest (or shard) that was damaged and
-    /// quarantined at startup; only the quarantined shard's jobs re-ran.
+    /// One notice per damaged journal or snapshot quarantined at startup.
     /// Empty on clean runs, so reports stay byte-identical when nothing
     /// went wrong.
     pub quarantines: Vec<Quarantine>,
@@ -201,16 +187,16 @@ impl Campaign {
 
     /// Runs `jobs` to completion (or cancellation).
     ///
-    /// Jobs already present in the manifest are skipped and counted in
-    /// [`CampaignOutcome::resumed`]. Job order in the output is by id,
-    /// independent of worker count and scheduling.
+    /// Jobs whose terminal record is already in the journal are skipped
+    /// and counted in [`CampaignOutcome::resumed`]. Job order in the
+    /// output is by id, independent of worker count and scheduling.
     ///
     /// # Errors
     ///
-    /// An invalid worker/shard configuration, duplicate job ids, an
-    /// unreadable manifest, or a manifest persist failure mid-campaign
-    /// (the campaign stops at the first one — continuing would silently
-    /// lose resume coverage).
+    /// An invalid worker count, duplicate job ids, an unreadable journal,
+    /// a job quarantined as poison by earlier runs, or a journal persist
+    /// failure mid-campaign (the campaign stops at the first one —
+    /// continuing would silently lose resume coverage).
     pub fn run(&self, jobs: Vec<Job>) -> Result<CampaignOutcome, String> {
         self.cfg.validate().map_err(|e| e.to_string())?;
         let mut seen = std::collections::HashSet::new();
@@ -220,190 +206,73 @@ impl Campaign {
             }
         }
 
-        let mut store = match (&self.cfg.manifest_path, self.cfg.shards) {
-            (None, _) => ManifestStore::in_memory(),
-            (Some(path), None) => ManifestStore::single(path.clone()),
-            (Some(path), Some(shards)) => ManifestStore::sharded(
-                ShardLayout::new(path.clone(), shards).map_err(|e| e.to_string())?,
-            ),
+        let cfg = QueueConfig {
+            capacity: jobs.len().max(1),
+            lease: self.lease(&jobs),
+            workers: self.cfg.workers,
+            retry: self.cfg.retry,
+            default_timeout: self.cfg.default_timeout,
+            cache_dir: self.cfg.cache_dir.clone(),
+            io: self.cfg.io.clone(),
+            telemetry: self.cfg.telemetry.clone(),
+            ..QueueConfig::new(self.cfg.dir.clone().unwrap_or_default())
         };
-        let quarantines = store.load().map_err(|e| e.to_string())?;
-        let cache = self.cfg.cache_dir.clone().map(CacheStore::new);
-
-        let resumed = jobs.iter().filter(|j| store.contains(&j.id)).count();
-        let queue: VecDeque<Job> = jobs
-            .into_iter()
-            .filter(|j| !store.contains(&j.id))
-            .collect();
-
-        let watchdog = Watchdog::spawn(self.cancel.clone());
-        let queue = Mutex::new(queue);
-        let store = &store;
-        let executed = Mutex::new(0usize);
-        let cache_hits = Mutex::new(0usize);
-        let cache_misses = Mutex::new(0usize);
-        let persist_error: Mutex<Option<String>> = Mutex::new(None);
-
-        let workers = if self.cfg.workers == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        } else {
-            self.cfg.workers
-        };
-
-        // Under telemetry the heartbeat line also carries live gauges for
-        // the in-memory work queue: pending depth and jobs currently held
-        // by workers (the campaign analogue of the durable queue's lease
-        // count). Without telemetry the gauges are never created, so the
-        // hot path stays untouched.
-        let gauges = self.cfg.telemetry.enabled.then(QueueGauges::new);
-        let held = std::sync::atomic::AtomicUsize::new(0);
-        let total = lock(&queue).len();
-        let telemetry = Arc::new(match &gauges {
-            Some(g) => Telemetry::with_queue(total, Arc::clone(g)),
-            None => Telemetry::new(total),
-        });
-        if let Some(g) = &gauges {
-            g.set(total, 0, None, None);
+        let queue = match self.cfg.dir {
+            Some(_) => JobQueue::open(cfg),
+            None => JobQueue::in_memory(cfg),
         }
-        let pool_start = Instant::now();
-        let heartbeat = self
-            .cfg
-            .telemetry
-            .enabled
-            .then(|| Heartbeat::spawn(Arc::clone(&telemetry), self.cfg.telemetry.heartbeat));
-
-        let refresh_gauges = || {
-            if let Some(g) = &gauges {
-                g.set(
-                    lock(&queue).len(),
-                    held.load(std::sync::atomic::Ordering::Relaxed),
-                    None,
-                    None,
-                );
+        .map_err(|e| e.to_string())?
+        .with_cancel(self.cancel.clone());
+        queue
+            .register(&CampaignSpec::new(CAMPAIGN_ID))
+            .map_err(|e| e.to_string())?;
+        for job in jobs {
+            let id = job.id.clone();
+            match queue.enqueue(CAMPAIGN_ID, job).map_err(|e| e.to_string())? {
+                Enqueued::Accepted | Enqueued::AlreadyComplete => {}
+                Enqueued::Poisoned => {
+                    return Err(format!("job `{id}` is quarantined as poison"));
+                }
             }
-        };
-        std::thread::scope(|scope| {
-            let telemetry = &telemetry;
-            let refresh_gauges = &refresh_gauges;
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        loop {
-                            if self.cancel.is_cancelled() {
-                                return;
-                            }
-                            let Some(job) = lock(&queue).pop_front() else {
-                                return;
-                            };
-                            held.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            refresh_gauges();
-                            let dequeued = Instant::now();
-                            telemetry.job_started();
-                            let record = self.run_job(
-                                &job,
-                                &watchdog,
-                                telemetry,
-                                cache.as_ref(),
-                                (&cache_hits, &cache_misses),
-                            );
-                            let Some(mut record) = record else {
-                                // Campaign cancelled mid-job: leave it without
-                                // a record so a resumed campaign re-runs it.
-                                telemetry.job_abandoned();
-                                held.fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
-                                refresh_gauges();
-                                return;
-                            };
-                            // Timing and the CPI stack ride the record only
-                            // under telemetry: manifests written without it
-                            // stay byte-stable.
-                            if self.cfg.telemetry.enabled {
-                                record.timing = Some(JobTiming {
-                                    queue_wait_ms: millis(dequeued - pool_start),
-                                    run_ms: millis(dequeued.elapsed()),
-                                    sim_wall_ms: record
-                                        .sim
-                                        .as_ref()
-                                        .map_or(0, |s| millis(s.wall_time)),
-                                });
-                                record.cpi = record.sim.as_ref().map(|s| s.cpi);
-                            }
-                            telemetry.job_finished(&record);
-                            held.fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
-                            refresh_gauges();
-                            // The store serializes committers per shard and
-                            // snapshots under that shard's lock, so an older
-                            // shard generation never overwrites a newer one.
-                            let committed = self.cfg.io.with(|io| store.commit(io, record));
-                            *lock(&executed) += 1;
-                            if let Err(e) = committed {
-                                lock(&persist_error).get_or_insert(e.to_string());
-                                self.cancel.cancel();
-                                return;
-                            }
-                        }
-                    })
-                })
-                .collect();
-            for handle in handles {
-                let _ = handle.join();
-            }
-        });
-        // Stopped after the workers join: the final heartbeat (flushed by
-        // the thread itself, never lost to the condvar timeout race)
-        // reports the settled counters.
-        if let Some(heartbeat) = heartbeat {
-            heartbeat.stop();
         }
-        drop(watchdog);
-
-        if let Some(e) = lock(&persist_error).take() {
-            return Err(e);
-        }
+        let drained = queue.drain().map_err(|e| e.to_string())?;
         Ok(CampaignOutcome {
-            records: store.merged(),
-            resumed,
-            executed: into_count(executed),
-            cache_hits: into_count(cache_hits),
-            cache_misses: into_count(cache_misses),
-            cancelled: self.cancel.is_cancelled(),
-            quarantines,
+            records: drained.records,
+            resumed: drained.resumed,
+            executed: drained.executed,
+            cache_hits: drained.cache_hits,
+            cache_misses: drained.cache_misses,
+            cancelled: drained.cancelled,
+            quarantines: drained.quarantines,
         })
     }
 
-    /// Runs one job through the result cache, retries, and the
-    /// degradation ladder. Returns `None` only when the campaign was
-    /// cancelled mid-job (the job is then deliberately unrecorded).
-    fn run_job(
-        &self,
-        job: &Job,
-        watchdog: &Watchdog,
-        telemetry: &Telemetry,
-        cache: Option<&CacheStore>,
-        (hits, misses): (&Mutex<usize>, &Mutex<usize>),
-    ) -> Option<JobRecord> {
-        let key = match probe_cache(cache, job, &self.cfg.retry) {
-            Probe::Hit(record) => {
-                *lock(hits) += 1;
-                return Some(cache::rekey(*record, &job.id));
-            }
-            Probe::Miss(key) => {
-                if key.is_some() {
-                    *lock(misses) += 1;
-                }
-                key
-            }
-        };
-        let executor = Executor {
-            retry: self.cfg.retry,
-            default_timeout: self.cfg.default_timeout,
-            stop: self.cancel.clone(),
-            watchdog,
-            telemetry,
-        };
-        let record = executor.execute_job(job, None)?;
-        store_cache(&self.cfg.io, cache, key, &record);
-        Some(record)
+    /// The lease for this campaign's jobs: long enough that no healthy
+    /// in-process job is ever taken back. A job's worst case is every
+    /// attempt of every ladder rung running to its deadline, plus the
+    /// backoff before each retry, plus one more deadline of slack for the
+    /// cache probe and the cancellation landing. A job without a deadline
+    /// makes the lease unbounded.
+    fn lease(&self, jobs: &[Job]) -> Duration {
+        let retry = &self.cfg.retry;
+        jobs.iter()
+            .map(|job| {
+                let Some(deadline) = job.timeout.or(self.cfg.default_timeout) else {
+                    return Duration::MAX;
+                };
+                let rungs = if job.degrade {
+                    std::iter::successors(Some(job.mode), |&m| ladder_next(m)).count()
+                } else {
+                    1
+                };
+                // The ladder has four rungs, so the cast is exact.
+                let attempts = effective_attempts(job, retry).saturating_mul(rungs as u32);
+                deadline
+                    .saturating_add(retry.max_backoff)
+                    .saturating_mul(attempts.saturating_add(1))
+            })
+            .max()
+            .unwrap_or(Duration::ZERO)
     }
 }
 
@@ -441,8 +310,7 @@ pub(crate) enum Probe {
 }
 
 /// Probes the result cache for `job`; evicted-corrupt entries count as
-/// misses and are reported to stderr. Shared by the campaign worker loop
-/// and the queue drain so both serve identical points from the cache.
+/// misses and are reported to stderr.
 pub(crate) fn probe_cache(cache: Option<&CacheStore>, job: &Job, retry: &RetryPolicy) -> Probe {
     match cache.map(|store| job_cache_key(job, retry).map(|k| (k, store.lookup(k)))) {
         Some(Some((_, Lookup::Hit(record)))) => Probe::Hit(record),
@@ -455,12 +323,12 @@ pub(crate) fn probe_cache(cache: Option<&CacheStore>, job: &Job, retry: &RetryPo
     }
 }
 
-/// Commits a deterministic result to the cache *before* the shard commit:
-/// once a record is durable in its shard, an identical campaign must find
-/// it in the cache (a crash between the two writes re-runs the job and
-/// re-caches it; the reverse order would leave committed-but-uncached jobs
-/// that silently miss). A failed cache write loses an optimization, never
-/// a result.
+/// Commits a deterministic result to the cache *before* the journal
+/// commit: once a record is durable in the journal, an identical campaign
+/// must find it in the cache (a crash between the two writes re-runs the
+/// job and re-caches it; the reverse order would leave
+/// committed-but-uncached jobs that silently miss). A failed cache write
+/// loses an optimization, never a result.
 pub(crate) fn store_cache(
     io: &SharedIo,
     cache: Option<&CacheStore>,
@@ -476,8 +344,8 @@ pub(crate) fn store_cache(
     }
 }
 
-/// The per-job execution engine shared by [`Campaign`] workers and the
-/// queue drain: retries with backoff, the degradation ladder, watchdog
+/// The per-job execution engine behind every queue drain: retries with
+/// backoff, the degradation ladder, watchdog
 /// deadlines, and panic isolation — everything between "a worker picked
 /// this job" and "this job has a terminal record".
 pub(crate) struct Executor<'a> {
@@ -553,7 +421,7 @@ impl Executor<'_> {
                         timing: None,
                         cpi: None,
                         cached: false,
-                        sim: Some(result),
+                        sim: Some(Box::new(result)),
                     });
                 }
                 let retrying = rung_attempt < retry.max_attempts;
@@ -597,24 +465,6 @@ impl Executor<'_> {
             }
         }
     }
-}
-
-fn millis(d: Duration) -> u64 {
-    u64::try_from(d.as_millis()).unwrap_or(u64::MAX)
-}
-
-fn into_count(mutex: Mutex<usize>) -> usize {
-    mutex
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    // Attempt panics are contained by catch_unwind; any residual poison
-    // must not wedge the campaign.
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 fn run_attempt(

@@ -2,7 +2,7 @@
 //!
 //! The simulator's [`PhaseProfiler`](ffsim_obs::PhaseProfiler) rides the
 //! per-run [`ObsReport`](ffsim_core) — but the driver's own work (journal
-//! appends, compactions, cache verification, shard commits) happens
+//! appends, compactions, cache verification and stores) happens
 //! outside any single simulation. This module gives that work one global,
 //! lazily created sink:
 //!
@@ -11,7 +11,7 @@
 //! - a *flat* [`PhaseProfiler`] fed by externally measured scope
 //!   durations ([`scope`]). Driver phases do not nest, so no telescoping
 //!   invariant applies here — the profile answers "how much wall time
-//!   went to queue journaling vs cache io vs manifest commits".
+//!   went to queue journaling vs cache io".
 //!
 //! Everything is gated on the shared `FFSIM_OBS` switch (or
 //! [`force_enable`] for bins and tests). Disabled, every entry point is a

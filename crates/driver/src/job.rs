@@ -25,7 +25,7 @@ pub type ConfigTweak = Arc<dyn Fn(&mut SimConfig) + Send + Sync>;
 /// on one core configuration.
 #[derive(Clone)]
 pub struct Job {
-    /// Unique id; the manifest, report and resume logic key on it.
+    /// Unique id; the journal, report and resume logic key on it.
     pub id: String,
     /// The wrong-path mode requested. With degradation enabled, persistent
     /// failures retry down the ladder from here.
@@ -155,7 +155,7 @@ pub fn ladder_next(mode: WrongPathMode) -> Option<WrongPathMode> {
 }
 
 /// Parses a mode from its figure label (`nowp`, `instrec`, `conv`,
-/// `wpemul`), as stored in the manifest.
+/// `wpemul`), as stored in the journal.
 #[must_use]
 pub fn mode_from_label(label: &str) -> Option<WrongPathMode> {
     WrongPathMode::ALL.into_iter().find(|m| m.label() == label)
@@ -288,9 +288,9 @@ impl AttemptRecord {
     }
 }
 
-/// The deterministic slice of a [`SimResult`] persisted in the manifest.
+/// The deterministic slice of a [`SimResult`] persisted in the journal.
 ///
-/// Wall-clock time is deliberately excluded: manifests must be
+/// Wall-clock time is deliberately excluded: persisted results must be
 /// byte-identical across runs and worker counts.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct JobSummary {
@@ -361,8 +361,8 @@ fn int_value(v: u64) -> Value {
 /// telemetry is enabled ([`TelemetryConfig`](crate::TelemetryConfig)).
 ///
 /// Wall-clock values vary run to run, so the `timing` key is written to
-/// the manifest only when present — with telemetry off (the default) the
-/// manifest stays byte-identical to one written before this field existed.
+/// the journal only when present — with telemetry off (the default) a
+/// record stays byte-identical to one written before this field existed.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct JobTiming {
     /// From worker-pool start to this job's dequeue, in milliseconds.
@@ -414,24 +414,26 @@ pub struct JobRecord {
     pub timing: Option<JobTiming>,
     /// Per-job CPI stack of the successful run; `Some` only when the
     /// campaign ran with telemetry enabled (`FFSIM_OBS`). Deterministic
-    /// (simulated cycles), but opt-in like `timing` so default manifests
+    /// (simulated cycles), but opt-in like `timing` so default records
     /// keep their pre-CPI shape.
     pub cpi: Option<CpiStack>,
     /// Whether this record was served from the content-addressed result
     /// cache instead of a fresh simulation. Serialized (as
     /// `"cached": true`) only when set, so campaigns without a cache
-    /// keep their pre-cache manifest shape. The deterministic report
+    /// keep their pre-cache record shape. The deterministic report
     /// ignores it; the cache appendix lists it.
     pub cached: bool,
     /// The full in-memory result of the successful run. Not serialized —
-    /// a resumed campaign has only the [`JobSummary`].
-    pub sim: Option<SimResult>,
+    /// a resumed campaign has only the [`JobSummary`]. Boxed: a
+    /// `SimResult` is several KiB, which records without one (resumed,
+    /// cached, failed) should not carry.
+    pub sim: Option<Box<SimResult>>,
 }
 
 impl JobRecord {
     /// Serializes the persistent slice (everything but [`JobRecord::sim`]).
     /// The `timing` and `cpi` keys are emitted only when present, so
-    /// manifests written without telemetry are byte-identical to ones
+    /// records written without telemetry are byte-identical to ones
     /// written before those fields existed.
     #[must_use]
     pub fn to_value(&self) -> Value {
@@ -604,11 +606,11 @@ mod tests {
         let json = record.to_value().to_json();
         assert!(
             !json.contains("timing"),
-            "manifests without telemetry must not change shape"
+            "records without telemetry must not change shape"
         );
         assert!(
             !json.contains("cpi"),
-            "manifests without telemetry must not change shape"
+            "records without telemetry must not change shape"
         );
         let parsed = JobRecord::from_value(&crate::json::parse(&json).unwrap()).unwrap();
         assert_eq!(parsed.timing, None);

@@ -7,7 +7,8 @@
 //! is the supervision layer that makes campaigns over
 //! [`ffsim-core`](../ffsim_core/index.html) robust:
 //!
-//! - a parallel worker pool executing [`Job`]s,
+//! - one scheduler: a durable [`JobQueue`] with leases, weighted fair
+//!   sharing and preemption; a [`Campaign`] is a one-campaign drain of it,
 //! - per-attempt **panic isolation** (`catch_unwind`),
 //! - cooperative **wall-clock deadlines** enforced by a [`Watchdog`]
 //!   thread through [`CancelToken`]s — hung simulations surface as
@@ -19,16 +20,16 @@
 //!   persistently fail under full wrong-path emulation retry under
 //!   progressively simpler techniques (`wpemul → conv → instrec → nowp`),
 //!   with every rung recorded,
-//! - an incrementally persisted JSON **manifest** for crash-safe resume —
-//!   optionally **sharded** into one crash-consistent file per worker
-//!   ([`ManifestStore`]), merged deterministically at report time, where
-//!   losing one shard quarantines and re-runs only that shard's jobs,
+//! - **one durable log** for crash-safe resume: the queue's checksummed
+//!   append-only journal, whose `Committed` records carry each job's
+//!   result and whose snapshot is a compaction of the log. A torn tail is
+//!   dropped; damage mid-file keeps every sealed record before it,
 //! - a **content-addressed result cache** ([`CacheStore`]) keyed by
 //!   (workload digest, config digest): identical campaign points are
 //!   served from the cache without simulating, and corrupt entries are
 //!   evicted and recomputed, never served,
-//! - byte-**deterministic** reports and manifests, independent of worker
-//!   count and scheduling.
+//! - byte-**deterministic** reports, independent of worker count and
+//!   scheduling.
 //!
 //! # Examples
 //!
@@ -76,7 +77,6 @@ pub mod manifest;
 pub mod queue;
 pub mod report;
 mod retry;
-pub mod shard;
 mod telemetry;
 mod watchdog;
 
@@ -90,13 +90,9 @@ pub use job::{
 };
 pub use manifest::{FaultyIo, ManifestError, ManifestIo, Quarantine, RealIo};
 pub use queue::{
-    CampaignSpec, DefaultRunner, DrainOutcome, Enqueued, JobQueue, JobRunner, PoisonJob,
-    QueueConfig, QueueError, QueueStats, Recovery, RunContext, QUEUE_VERSION,
+    validate_worker_count, CampaignSpec, DefaultRunner, DrainOutcome, Enqueued, JobQueue,
+    JobRunner, PoisonJob, QueueConfig, QueueError, QueueStats, Recovery, RunContext, MAX_WORKERS,
 };
 pub use retry::RetryPolicy;
-pub use shard::{
-    validate_shard_count, validate_worker_count, ManifestStore, ShardLayout, MAX_SHARDS,
-    MAX_WORKERS,
-};
 pub use telemetry::{Heartbeat, QueueGauges, Telemetry, TelemetryConfig};
 pub use watchdog::{WatchGuard, Watchdog};

@@ -1,51 +1,35 @@
-//! Campaign manifest: the on-disk record of completed jobs.
-//!
-//! The manifest is written incrementally — rewritten atomically
-//! (temp-file + rename) after every job that finishes — so a campaign
-//! killed mid-flight (SIGTERM, OOM, power) loses only its in-flight jobs.
-//! Resuming a campaign against the same manifest path re-runs exactly the
-//! jobs without a record.
-//!
-//! Serialization is deterministic: records are sorted by job id and
-//! contain no wall-clock values, so the same campaign produces a
-//! byte-identical manifest whatever the worker count or kill timing.
+//! Sealed files and the filesystem seam shared by every durable artifact
+//! of the driver: the queue journal and snapshot, and the result cache.
 //!
 //! # Crash consistency
 //!
 //! Atomic rename protects against *our* crashes, but not against
 //! filesystems that reorder data and metadata, partial copies, or stray
-//! editors: the file a resume reads may be torn anyway. Every manifest
+//! editors: a file read back may be torn anyway. Every sealed document
 //! therefore ends with a checksum trailer line
 //! (`#checksum fnv1a <16 hex digits>` over everything before it), and
-//! [`load`] classifies what it finds with a typed [`ManifestError`]:
-//! a file cut at *any* byte offset loses trailer bytes and surfaces as
+//! [`unseal`] classifies what it finds with a typed [`ManifestError`]: a
+//! document cut at *any* byte offset loses trailer bytes and surfaces as
 //! [`ManifestError::Truncated`]; a flipped byte as
-//! [`ManifestError::ChecksumMismatch`]; intact-but-bogus JSON as
-//! [`ManifestError::Malformed`]. [`load_or_quarantine`] turns any of
-//! those into a fresh start: the damaged file is renamed to
-//! `<name>.corrupt` (evidence preserved), the campaign re-runs from an
-//! empty manifest, and the [`Quarantine`] notice is reported instead of
-//! a panic or a silent loss.
+//! [`ManifestError::ChecksumMismatch`]. Callers add
+//! [`ManifestError::Malformed`] for intact-but-bogus JSON. A damaged file
+//! is moved to a `<file name>.corrupt` sibling (evidence preserved) and the
+//! [`Quarantine`] notice is reported instead of a panic or a silent loss.
 //!
 //! Writes go through the [`ManifestIo`] seam so tests can inject short
-//! writes, failed renames, and out-of-space errors ([`FaultyIo`]) and
-//! prove the previous manifest generation survives each of them.
+//! writes, failed renames, refused truncations, and out-of-space errors
+//! ([`FaultyIo`]) and prove that no committed result is lost to any of
+//! them.
 
 use crate::fnv::fnv1a;
-use crate::job::JobRecord;
-use crate::json::{parse, Value};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// Current manifest format version; bumped on incompatible layout changes.
-pub const MANIFEST_VERSION: i64 = 1;
-
-/// Prefix of the checksum trailer line terminating every manifest (and
-/// every queue-journal record, which reuses the same seal discipline).
+/// Prefix of the checksum trailer line terminating every sealed document
+/// (each queue-journal record, the snapshot, each cache entry).
 pub(crate) const CHECKSUM_PREFIX: &str = "#checksum fnv1a ";
 
-/// Why a manifest could not be used. Everything but [`ManifestError::Io`]
+/// Why a sealed file could not be used. Everything but [`ManifestError::Io`]
 /// means the file's *contents* are damaged and quarantining applies.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ManifestError {
@@ -73,17 +57,18 @@ impl ManifestError {
 impl fmt::Display for ManifestError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ManifestError::Io(m) => write!(f, "manifest i/o error: {m}"),
-            ManifestError::Truncated(m) => write!(f, "manifest truncated: {m}"),
-            ManifestError::ChecksumMismatch(m) => write!(f, "manifest checksum mismatch: {m}"),
-            ManifestError::Malformed(m) => write!(f, "manifest malformed: {m}"),
+            ManifestError::Io(m) => write!(f, "i/o error: {m}"),
+            ManifestError::Truncated(m) => write!(f, "truncated: {m}"),
+            ManifestError::ChecksumMismatch(m) => write!(f, "checksum mismatch: {m}"),
+            ManifestError::Malformed(m) => write!(f, "malformed: {m}"),
         }
     }
 }
 
 impl std::error::Error for ManifestError {}
 
-/// What [`load_or_quarantine`] did with a damaged manifest.
+/// A damaged file moved aside at startup (see [`JobQueue::open`]
+/// (crate::JobQueue::open)).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Quarantine {
     /// The typed diagnosis of the damage.
@@ -96,7 +81,7 @@ impl fmt::Display for Quarantine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}; quarantined to {} and restarted from an empty manifest",
+            "{}; quarantined to {}",
             self.error,
             self.quarantined_to.display()
         )
@@ -106,8 +91,8 @@ impl fmt::Display for Quarantine {
 /// Appends the checksum trailer to a serialized document body. The body
 /// must end with a newline (every serializer here emits one); [`unseal`]
 /// verifies and strips the trailer again. This is the crash-consistency
-/// primitive shared by the campaign manifest, its shards, and the result
-/// cache: any file that does not round-trip through `seal`/`unseal` is
+/// primitive shared by the queue journal, its snapshot, and the result
+/// cache: anything that does not round-trip through `seal`/`unseal` is
 /// treated as damaged, never trusted.
 #[must_use]
 pub fn seal(body: &str) -> String {
@@ -128,9 +113,8 @@ pub fn unseal(text: &str) -> Result<&str, ManifestError> {
             "file does not end with a newline".into(),
         ));
     };
-    let Some(body_len) = without_final_newline.rfind('\n').map(|p| p + 1) else {
-        return Err(ManifestError::Truncated("single-line file".into()));
-    };
+    // A single line is the trailer of an empty body.
+    let body_len = without_final_newline.rfind('\n').map_or(0, |p| p + 1);
     let trailer = &without_final_newline[body_len..];
     let Some(hex) = trailer.strip_prefix(CHECKSUM_PREFIX) else {
         return Err(ManifestError::Truncated(
@@ -149,91 +133,6 @@ pub fn unseal(text: &str) -> Result<&str, ManifestError> {
     Ok(body)
 }
 
-/// Serializes `records` (keyed and therefore sorted by job id) as the
-/// JSON body, without the checksum trailer.
-#[must_use]
-pub fn to_json(records: &BTreeMap<String, JobRecord>) -> String {
-    Value::Obj(vec![
-        ("version".into(), Value::Int(MANIFEST_VERSION)),
-        (
-            "jobs".into(),
-            Value::Arr(records.values().map(JobRecord::to_value).collect()),
-        ),
-    ])
-    .to_json()
-}
-
-/// Serializes `records` as the full on-disk document: JSON body plus the
-/// checksum trailer line.
-#[must_use]
-pub fn to_text(records: &BTreeMap<String, JobRecord>) -> String {
-    seal(&to_json(records))
-}
-
-/// Parses a manifest JSON body into records keyed by job id.
-///
-/// # Errors
-///
-/// A message describing the syntax error, version mismatch, or malformed
-/// record. Callers treat any error as fatal: silently dropping records
-/// would re-run completed jobs at best and mask corruption at worst.
-pub fn from_json(text: &str) -> Result<BTreeMap<String, JobRecord>, String> {
-    let doc = parse(text)?;
-    let version = doc
-        .get("version")
-        .and_then(Value::as_int)
-        .ok_or("manifest missing version")?;
-    if version != MANIFEST_VERSION {
-        return Err(format!(
-            "manifest version {version} unsupported (expected {MANIFEST_VERSION})"
-        ));
-    }
-    let jobs = doc
-        .get("jobs")
-        .and_then(Value::as_arr)
-        .ok_or("manifest missing jobs array")?;
-    let mut records = BTreeMap::new();
-    for (i, job) in jobs.iter().enumerate() {
-        let record = JobRecord::from_value(job).ok_or(format!("malformed job record #{i}"))?;
-        if records.insert(record.id.clone(), record).is_some() {
-            return Err(format!("duplicate job id in record #{i}"));
-        }
-    }
-    Ok(records)
-}
-
-/// Verifies the checksum trailer and parses the full on-disk document.
-///
-/// # Errors
-///
-/// [`ManifestError::Truncated`] when the trailer is absent or incomplete
-/// (any proper prefix of a valid document lands here),
-/// [`ManifestError::ChecksumMismatch`] when the body hash disagrees, and
-/// [`ManifestError::Malformed`] when the verified body is not a valid
-/// manifest.
-pub fn from_text(text: &str) -> Result<BTreeMap<String, JobRecord>, ManifestError> {
-    from_json(unseal(text)?).map_err(ManifestError::Malformed)
-}
-
-/// Loads a manifest from disk; a missing file is an empty manifest.
-///
-/// # Errors
-///
-/// I/O failures other than not-found, and any verification or parse
-/// error from [`from_text`].
-pub fn load(path: &Path) -> Result<BTreeMap<String, JobRecord>, ManifestError> {
-    match std::fs::read_to_string(path) {
-        Ok(text) => {
-            from_text(&text).map_err(|e| e.with_context(&format!("manifest {}", path.display())))
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(BTreeMap::new()),
-        Err(e) => Err(ManifestError::Io(format!(
-            "reading manifest {}: {e}",
-            path.display()
-        ))),
-    }
-}
-
 impl ManifestError {
     /// Prefixes the error message with `context`, keeping the variant.
     pub(crate) fn with_context(self, context: &str) -> ManifestError {
@@ -248,33 +147,9 @@ impl ManifestError {
     }
 }
 
-/// Loads a manifest, quarantining a damaged file instead of failing.
-///
-/// A corrupt manifest (truncated, checksum mismatch, malformed) is
-/// renamed to a sibling `<name>.corrupt` file and the campaign starts
-/// from an empty manifest, with the diagnosis returned as a
-/// [`Quarantine`] notice for the report.
-///
-/// # Errors
-///
-/// Filesystem-level failures only: unreadable file, or the quarantine
-/// rename itself failing (then the damaged file is left in place).
-pub fn load_or_quarantine(
-    path: &Path,
-) -> Result<(BTreeMap<String, JobRecord>, Option<Quarantine>), ManifestError> {
-    match load(path) {
-        Ok(records) => Ok((records, None)),
-        Err(error) if error.is_corruption() => {
-            Ok((BTreeMap::new(), Some(quarantine_file(path, error)?)))
-        }
-        Err(io) => Err(io),
-    }
-}
-
-/// Moves a damaged file to its sibling `<name>.corrupt` path, preserving
-/// the evidence, and returns the [`Quarantine`] notice. Shared by the
-/// campaign manifest, its shards, and the queue journal/snapshot — every
-/// durable artifact quarantines the same way.
+/// Moves a damaged file to its sibling `<file name>.corrupt` path, preserving
+/// the evidence, and returns the [`Quarantine`] notice. The queue journal
+/// and snapshot quarantine this way.
 ///
 /// # Errors
 ///
@@ -284,7 +159,11 @@ pub(crate) fn quarantine_file(
     path: &Path,
     error: ManifestError,
 ) -> Result<Quarantine, ManifestError> {
-    let quarantined_to = path.with_extension("corrupt");
+    // The whole file name is kept (`queue.journal.corrupt`), so the
+    // journal's and the snapshot's evidence never overwrite each other.
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(".corrupt");
+    let quarantined_to = path.with_file_name(name);
     std::fs::rename(path, &quarantined_to).map_err(|e| {
         ManifestError::Io(format!(
             "quarantining {} to {}: {e}",
@@ -307,9 +186,13 @@ pub(crate) fn quarantine_file(
 /// the [`unseal`] verification errors for damaged contents.
 pub(crate) fn read_sealed(path: &Path) -> Result<Option<String>, ManifestError> {
     match std::fs::read_to_string(path) {
-        Ok(text) => unseal(&text)
-            .map(|body| Some(body.to_string()))
-            .map_err(|e| e.with_context(&format!("sealed file {}", path.display()))),
+        Ok(mut text) => {
+            let body_len = unseal(&text)
+                .map_err(|e| e.with_context(&format!("sealed file {}", path.display())))?
+                .len();
+            text.truncate(body_len);
+            Ok(Some(text))
+        }
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
         Err(e) => Err(ManifestError::Io(format!(
             "reading {}: {e}",
@@ -319,8 +202,8 @@ pub(crate) fn read_sealed(path: &Path) -> Result<Option<String>, ManifestError> 
 }
 
 /// Atomically installs a checksum-sealed document at `path` through `io`
-/// (temp file + rename, like [`save_with`]): the previous generation stays
-/// intact whatever `io` does. `body` must end with a newline.
+/// (temp file + rename): the previous generation stays intact whatever
+/// `io` does. `body` must end with a newline.
 ///
 /// # Errors
 ///
@@ -338,8 +221,8 @@ pub(crate) fn save_sealed_with(
         .map_err(|e| ManifestError::Io(format!("installing {}: {e}", path.display())))
 }
 
-/// The filesystem operations [`save_with`] performs, as a seam for fault
-/// injection. Production code uses [`RealIo`].
+/// The filesystem operations behind every durable write, as a seam for
+/// fault injection. Production code uses [`RealIo`].
 pub trait ManifestIo {
     /// Writes `bytes` to `path`, creating or replacing it.
     ///
@@ -371,6 +254,21 @@ pub trait ManifestIo {
             .open(path)?;
         file.write_all(bytes)
     }
+
+    /// Cuts `path` to its first `len` bytes in place. Used to drop a torn
+    /// journal tail: unlike rewriting the valid prefix, a truncation never
+    /// touches the bytes it keeps, so a crash or failure mid-repair cannot
+    /// lose them.
+    ///
+    /// # Errors
+    ///
+    /// Any underlying filesystem failure.
+    fn truncate(&mut self, path: &Path, len: u64) -> std::io::Result<()> {
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(path)?
+            .set_len(len)
+    }
 }
 
 /// The real filesystem.
@@ -387,14 +285,16 @@ impl ManifestIo for RealIo {
     }
 }
 
-/// Fault-injecting [`ManifestIo`]: simulates the failure modes a manifest
-/// save meets in the wild. Each knob fires on every matching call.
+/// Fault-injecting [`ManifestIo`]: simulates the failure modes a durable
+/// write meets in the wild. Each knob fires on every matching call.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FaultyIo {
     /// Write only this many bytes, then fail — a crash or disk error
-    /// mid-write leaving a torn temp file behind.
+    /// mid-write leaving a torn temp file behind. A truncation under this
+    /// knob is refused and leaves the file as it was: the crash landed
+    /// before the repair took effect.
     pub short_write: Option<usize>,
-    /// Report out-of-space without writing anything.
+    /// Report out-of-space without writing (or truncating) anything.
     pub enospc: bool,
     /// Fail the install rename (e.g. permissions yanked mid-campaign).
     pub fail_rename: bool,
@@ -439,195 +339,84 @@ impl ManifestIo for FaultyIo {
         }
         RealIo.append(path, bytes)
     }
-}
 
-/// Atomically replaces the manifest at `path` through `io` (write temp
-/// file in the same directory, then rename): whatever `io` does — crash
-/// mid-write, refuse the rename — the previous manifest generation stays
-/// intact and loadable.
-///
-/// # Errors
-///
-/// [`ManifestError::Io`] for failures writing the temp file or renaming
-/// it into place.
-pub fn save_with(
-    io: &mut dyn ManifestIo,
-    path: &Path,
-    records: &BTreeMap<String, JobRecord>,
-) -> Result<(), ManifestError> {
-    save_sealed_with(io, path, &to_json(records))
-}
-
-/// [`save_with`] on the real filesystem.
-///
-/// # Errors
-///
-/// See [`save_with`].
-pub fn save(path: &Path, records: &BTreeMap<String, JobRecord>) -> Result<(), ManifestError> {
-    save_with(&mut RealIo, path, records)
+    fn truncate(&mut self, path: &Path, len: u64) -> std::io::Result<()> {
+        if self.enospc || self.short_write.is_some() {
+            return Err(std::io::Error::other("truncate interrupted (injected)"));
+        }
+        RealIo.truncate(path, len)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::{AttemptOutcome, AttemptRecord, JobStatus, JobSummary};
-    use ffsim_core::WrongPathMode;
 
-    fn record(id: &str) -> JobRecord {
-        JobRecord {
-            id: id.into(),
-            requested_mode: WrongPathMode::ConvergenceExploitation,
-            final_mode: WrongPathMode::ConvergenceExploitation,
-            status: JobStatus::Completed,
-            attempts: vec![AttemptRecord {
-                attempt: 1,
-                mode: WrongPathMode::ConvergenceExploitation,
-                outcome: AttemptOutcome::Success,
-                backoff_ms: 0,
-            }],
-            summary: Some(JobSummary {
-                instructions: 10,
-                cycles: 20,
-                wrong_path_instructions: 1,
-                state_digest: 0x42,
-            }),
-            timing: None,
-            cpi: None,
-            cached: false,
-            sim: None,
-        }
-    }
-
-    fn one_record() -> BTreeMap<String, JobRecord> {
-        let mut records = BTreeMap::new();
-        records.insert("a".to_string(), record("a"));
-        records
-    }
+    const BODY: &str = "{\n  \"id\": \"a\",\n  \"instructions\": 10\n}\n";
 
     fn temp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ffsim-driver-manifest-{name}"));
+        std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
 
     #[test]
-    fn round_trips_and_sorts_by_id() {
-        let mut records = BTreeMap::new();
-        // Insertion order here is reversed; serialization must sort.
-        records.insert("z".to_string(), record("z"));
-        records.insert("a".to_string(), record("a"));
-        let text = to_text(&records);
-        assert!(text.find("\"a\"").unwrap() < text.find("\"z\"").unwrap());
-        let back = from_text(&text).unwrap();
-        assert_eq!(back.len(), 2);
-        assert_eq!(back["a"].status, JobStatus::Completed);
-    }
-
-    #[test]
-    fn missing_file_is_empty() {
-        let dir = std::env::temp_dir().join("ffsim-driver-manifest-missing");
-        assert!(load(&dir.join("does-not-exist.json")).unwrap().is_empty());
-    }
-
-    #[test]
-    fn rejects_bad_version_and_duplicates() {
-        assert!(from_json("{\"version\": 99, \"jobs\": []}").is_err());
-        let one = record("a").to_value().to_json();
-        let one = one.trim_end();
-        let doc = format!("{{\"version\": 1, \"jobs\": [{one}, {one}]}}");
-        assert!(from_json(&doc).is_err());
-    }
-
-    #[test]
-    fn save_and_load_round_trip() {
-        let dir = temp_dir("rt");
-        let path = dir.join("manifest.json");
-        save(&path, &one_record()).unwrap();
-        let back = load(&path).unwrap();
-        assert_eq!(back.len(), 1);
-        assert_eq!(back["a"].summary.unwrap().state_digest, 0x42);
-        std::fs::remove_dir_all(&dir).ok();
+    fn seal_round_trips() {
+        assert_eq!(unseal(&seal(BODY)).unwrap(), BODY);
+        assert_eq!(unseal(&seal("")).unwrap(), "", "an empty body seals too");
     }
 
     #[test]
     fn truncation_at_every_byte_offset_is_a_typed_error() {
-        // A half-written (or worse) manifest must never panic and never
-        // parse: any proper prefix loses trailer bytes.
-        let full = to_text(&one_record());
+        // A half-written (or worse) document must never panic and never
+        // verify: any proper prefix loses trailer bytes.
+        let full = seal(BODY);
         for cut in 0..full.len() {
-            let err = from_text(&full[..cut]).expect_err("proper prefix must not parse");
+            let err = unseal(&full[..cut]).expect_err("proper prefix must not verify");
             assert!(
                 matches!(err, ManifestError::Truncated(_)),
                 "cut at {cut}: expected Truncated, got {err:?}"
             );
         }
-        assert!(from_text(&full).is_ok());
-    }
-
-    #[test]
-    fn half_written_file_loads_as_typed_error_not_panic() {
-        let dir = temp_dir("half");
-        let path = dir.join("manifest.json");
-        let full = to_text(&one_record());
-        std::fs::write(&path, &full[..full.len() / 2]).unwrap();
-        let err = load(&path).expect_err("half-written manifest must not load");
-        assert!(matches!(err, ManifestError::Truncated(_)), "{err:?}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn flipped_byte_is_a_checksum_mismatch() {
-        let full = to_text(&one_record());
-        // Flip a digit inside the body (the instruction count "10").
+        let full = seal(BODY);
         let corrupted = full.replacen("10", "19", 1);
         assert_ne!(full, corrupted, "corruption must change the body");
-        let err = from_text(&corrupted).expect_err("bit flip must not parse");
+        let err = unseal(&corrupted).expect_err("bit flip must not verify");
         assert!(matches!(err, ManifestError::ChecksumMismatch(_)), "{err:?}");
     }
 
     #[test]
-    fn valid_checksum_over_garbage_is_malformed() {
-        let body = "{\"version\": 99, \"jobs\": []}\n";
-        let doc = format!("{body}{CHECKSUM_PREFIX}{:016x}\n", fnv1a(body.as_bytes()));
-        let err = from_text(&doc).expect_err("bad version must not parse");
-        assert!(matches!(err, ManifestError::Malformed(_)), "{err:?}");
-    }
-
-    #[test]
-    fn quarantine_moves_the_corrupt_file_and_starts_empty() {
-        let dir = temp_dir("quarantine");
-        let path = dir.join("manifest.json");
-        std::fs::write(&path, "not a manifest at all").unwrap();
-        let (records, notice) = load_or_quarantine(&path).unwrap();
-        assert!(records.is_empty());
-        let notice = notice.expect("corruption must be reported");
-        assert!(matches!(notice.error, ManifestError::Truncated(_)));
-        assert!(notice.quarantined_to.ends_with("manifest.corrupt"));
-        assert!(!path.exists(), "damaged file must be moved away");
-        assert!(notice.quarantined_to.exists(), "evidence must be preserved");
-        // A subsequent load starts clean — the campaign can resume.
-        assert!(load(&path).unwrap().is_empty());
+    fn missing_file_reads_as_none() {
+        let dir = temp_dir("missing");
+        assert_eq!(read_sealed(&dir.join("does-not-exist")).unwrap(), None);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn healthy_manifest_is_not_quarantined() {
-        let dir = temp_dir("healthy");
-        let path = dir.join("manifest.json");
-        save(&path, &one_record()).unwrap();
-        let (records, notice) = load_or_quarantine(&path).unwrap();
-        assert_eq!(records.len(), 1);
-        assert!(notice.is_none());
+    fn quarantine_moves_the_damaged_file_aside() {
+        let dir = temp_dir("quarantine");
+        let path = dir.join("queue.snapshot");
+        std::fs::write(&path, "not sealed at all").unwrap();
+        let error = read_sealed(&path).expect_err("damage must surface");
+        assert!(matches!(error, ManifestError::Truncated(_)), "{error:?}");
+        let notice = quarantine_file(&path, error).unwrap();
+        assert!(notice.quarantined_to.ends_with("queue.snapshot.corrupt"));
+        assert!(!path.exists(), "damaged file must be moved away");
+        assert!(notice.quarantined_to.exists(), "evidence must be preserved");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn injected_faults_leave_the_previous_generation_intact() {
         let dir = temp_dir("faults");
-        let path = dir.join("manifest.json");
-        save(&path, &one_record()).unwrap();
-        let mut bigger = one_record();
-        bigger.insert("b".to_string(), record("b"));
+        let path = dir.join("queue.snapshot");
+        save_sealed_with(&mut RealIo, &path, BODY).unwrap();
+        let newer = BODY.replace("10", "20");
 
         let faults = [
             FaultyIo {
@@ -644,15 +433,38 @@ mod tests {
             },
         ];
         for mut io in faults {
-            let err = save_with(&mut io, &path, &bigger).expect_err("fault must surface");
+            let err = save_sealed_with(&mut io, &path, &newer).expect_err("fault must surface");
             assert!(matches!(err, ManifestError::Io(_)), "{err:?}");
-            // The previous generation still loads: atomicity held.
-            let back = load(&path).unwrap_or_else(|e| panic!("{io:?}: {e}"));
-            assert_eq!(back.len(), 1, "{io:?} damaged the installed manifest");
+            // The previous generation still verifies: atomicity held.
+            let back = read_sealed(&path).unwrap_or_else(|e| panic!("{io:?}: {e}"));
+            assert_eq!(back.as_deref(), Some(BODY), "{io:?} damaged the file");
         }
-        // And once the faults clear, the save goes through.
-        save(&path, &bigger).unwrap();
-        assert_eq!(load(&path).unwrap().len(), 2);
+        // And once the faults clear, the install goes through.
+        save_sealed_with(&mut RealIo, &path, &newer).unwrap();
+        assert_eq!(read_sealed(&path).unwrap(), Some(newer));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn truncation_keeps_the_prefix_or_nothing_changes() {
+        let dir = temp_dir("truncate");
+        let path = dir.join("queue.journal");
+        std::fs::write(&path, b"0123456789").unwrap();
+        for mut io in [
+            FaultyIo {
+                short_write: Some(3),
+                ..FaultyIo::default()
+            },
+            FaultyIo {
+                enospc: true,
+                ..FaultyIo::default()
+            },
+        ] {
+            io.truncate(&path, 4).expect_err("fault must surface");
+            assert_eq!(std::fs::read(&path).unwrap(), b"0123456789");
+        }
+        RealIo.truncate(&path, 4).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"0123");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

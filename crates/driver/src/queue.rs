@@ -1,35 +1,43 @@
-//! The durable campaign job queue: journaled ingest, lease-based
-//! ownership, weighted fair scheduling, preemption, and poison-job
-//! quarantine.
+//! The durable campaign job queue: the driver's one result log, plus
+//! lease-based ownership, weighted fair scheduling, preemption, and
+//! poison-job quarantine.
 //!
-//! PR 6 made the *storage* side of campaigns crash-consistent (sharded
-//! manifests, content-addressed cache). This module is the matching
-//! *ingest* side: a long-running service enqueues jobs from several
-//! campaigns into one on-disk queue that survives kill -9 the same way
-//! the shards do, and a worker pool drains it.
+//! Every campaign runs through here: a long-running service enqueues jobs
+//! from several campaigns into one on-disk queue that survives kill -9,
+//! and [`Campaign::run`](crate::Campaign::run) is a one-campaign drain.
 //!
-//! # The journal
+//! # The durable log
 //!
 //! Every queue state transition appends one typed record to
 //! `<dir>/queue.journal`: `Enqueued`, `Leased`, `Committed`, `Failed`,
-//! `Preempted`, or `Quarantined`. Each record is an individually sealed
-//! document — JSON body plus the same FNV-1a `#checksum` trailer line the
-//! manifests use ([`manifest::seal`]) — so replay can verify records
-//! one at a time. Startup replay folds the journal over the last
-//! snapshot:
+//! `Preempted`, or `Quarantined`. `Committed` and `Failed` records carry
+//! the job's serialized [`JobRecord`], so the journal *is* the result
+//! store: a terminal entry is the durable record, and the merged report is
+//! read straight from the replayed state table. Each record is an
+//! individually sealed document — JSON body plus the FNV-1a `#checksum`
+//! trailer line ([`manifest::seal`]) — so replay verifies records one at
+//! a time. Startup replay folds the journal over the last snapshot:
 //!
 //! - a **half-written final record** (torn append at the moment of the
-//!   crash) is dropped and the journal truncated back to the last sealed
-//!   record — never an error;
-//! - damage **before** the tail is real corruption: the whole journal is
-//!   quarantined to `queue.corrupt` (evidence preserved) and the state
-//!   restarts from the snapshot — committed work is still safe, because
-//!   result records live in the manifest shards, and jobs whose terminal
-//!   record was lost simply re-run;
-//! - every [`QueueConfig::compact_every`] records the state is compacted
-//!   into a sealed `queue.snapshot` (atomic temp + rename) and the
-//!   journal truncated. Records carry the snapshot *generation* so a
-//!   crash between the two steps replays nothing twice.
+//!   crash) is dropped and the journal truncated in place back to the last
+//!   sealed record — never an error, and never a rewrite of the prefix;
+//! - damage **before** the tail is real corruption: every sealed record
+//!   before the damage is replayed, the journal is quarantined to
+//!   `queue.journal.corrupt` (evidence preserved), and the replayed state
+//!   is compacted at once. Only the results after the damage are lost;
+//!   they re-run on re-enqueue, and the result cache serves them;
+//! - a damaged **snapshot** is quarantined to `queue.snapshot.corrupt` and
+//!   replay continues from the journal;
+//! - every [`QueueConfig::compact_every`] records the state table is
+//!   rewritten as the log it compacts to — one record per job (two for a
+//!   leased one), results included — and installed under one outer seal
+//!   as `queue.snapshot` (atomic temp + rename); then the journal is
+//!   truncated. Records carry the snapshot *generation* so a crash
+//!   between the two steps replays nothing twice.
+//!
+//! A queue opened without a directory (a [`Campaign`](crate::Campaign)
+//! with no [`dir`](crate::CampaignConfig::dir)) runs the same state
+//! machine but its journal writer persists nothing.
 //!
 //! # Leases
 //!
@@ -68,11 +76,10 @@
 use crate::cache::{self, CacheStore};
 use crate::campaign::{self, Executor, Probe, SharedIo};
 use crate::hostobs;
-use crate::job::{AttemptOutcome, Job, JobRecord, JobStatus};
+use crate::job::{AttemptOutcome, Job, JobRecord, JobStatus, JobTiming};
 use crate::json::{parse, Value};
 use crate::manifest::{self, ManifestError, Quarantine};
 use crate::retry::RetryPolicy;
-use crate::shard::{validate_worker_count, ManifestStore, ShardLayout};
 use crate::telemetry::{Heartbeat, QueueGauges, Telemetry, TelemetryConfig};
 use crate::watchdog::Watchdog;
 use ffsim_core::{CancelToken, SimError};
@@ -81,20 +88,33 @@ use ffsim_obs::Phase;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-
-/// Queue journal/snapshot format version; bumped on incompatible changes.
-pub const QUEUE_VERSION: i64 = 1;
 
 /// Journal file name inside the queue directory.
 const JOURNAL_FILE: &str = "queue.journal";
 /// Snapshot file name inside the queue directory.
 const SNAPSHOT_FILE: &str = "queue.snapshot";
-/// Merged result manifest name inside the queue directory.
-const RESULTS_FILE: &str = "results.json";
+
+/// Upper bound on the worker count (`0` still means one per CPU).
+pub const MAX_WORKERS: usize = 4096;
+
+/// Validates a worker count at configuration time (`0` is the documented
+/// "one per CPU" default and stays valid).
+///
+/// # Errors
+///
+/// [`SimError::InvalidConfig`] for counts above [`MAX_WORKERS`].
+pub fn validate_worker_count(workers: usize) -> Result<(), SimError> {
+    if workers > MAX_WORKERS {
+        return Err(SimError::InvalidConfig(format!(
+            "worker count {workers} exceeds the maximum of {MAX_WORKERS}"
+        )));
+    }
+    Ok(())
+}
 
 /// The error a dangling or expired lease charges against a job.
 const LEASE_LOST: &str = "lease lost before commit";
@@ -118,8 +138,8 @@ pub enum QueueError {
     /// The configuration is unusable (zero capacity, bad worker count,
     /// concurrent drains, ...).
     InvalidConfig(String),
-    /// The journal, snapshot, or result store failed at the filesystem
-    /// level (content damage never surfaces here — it quarantines).
+    /// The journal or snapshot failed at the filesystem level (content
+    /// damage never surfaces here — it quarantines).
     Journal(ManifestError),
 }
 
@@ -151,8 +171,8 @@ impl From<ManifestError> for QueueError {
 /// Durable queue settings.
 #[derive(Clone, Debug)]
 pub struct QueueConfig {
-    /// The queue directory: journal, snapshot, result shards, and
-    /// quarantined evidence all live here.
+    /// The queue directory: the journal, its snapshot, and quarantined
+    /// evidence live here.
     pub dir: PathBuf,
     /// Maximum live (pending + leased) jobs before
     /// [`QueueError::Saturated`].
@@ -174,12 +194,10 @@ pub struct QueueConfig {
     pub retry: RetryPolicy,
     /// Per-attempt deadline for jobs without their own.
     pub default_timeout: Option<Duration>,
-    /// Result manifest sharding (`None` = single `results.json`).
-    pub shards: Option<usize>,
     /// Content-addressed result cache directory (`None` = no cache).
     pub cache_dir: Option<PathBuf>,
-    /// The filesystem seam for journal appends, snapshot installs, shard
-    /// saves, and cache writes.
+    /// The filesystem seam for journal appends and repairs, snapshot
+    /// installs, and cache writes.
     pub io: SharedIo,
     /// Heartbeat telemetry (includes queue gauges when enabled).
     pub telemetry: TelemetryConfig,
@@ -199,7 +217,6 @@ impl QueueConfig {
             workers: 0,
             retry: RetryPolicy::default(),
             default_timeout: Some(Duration::from_secs(300)),
-            shards: None,
             cache_dir: None,
             io: SharedIo::default(),
             telemetry: TelemetryConfig::from_env(),
@@ -217,13 +234,7 @@ impl QueueConfig {
         if self.compact_every == 0 {
             return invalid("compact_every must be at least 1".into());
         }
-        validate_worker_count(self.workers)
-            .map_err(|e| QueueError::InvalidConfig(e.to_string()))?;
-        if let Some(shards) = self.shards {
-            crate::shard::validate_shard_count(shards)
-                .map_err(|e| QueueError::InvalidConfig(e.to_string()))?;
-        }
-        Ok(())
+        validate_worker_count(self.workers).map_err(|e| QueueError::InvalidConfig(e.to_string()))
     }
 }
 
@@ -272,8 +283,8 @@ impl CampaignSpec {
 pub enum Enqueued {
     /// Queued (or re-attached to a recovered pending entry).
     Accepted,
-    /// A durable result already exists; the job will appear in the merged
-    /// report without re-running.
+    /// The journal already holds the job's terminal record; it appears in
+    /// the merged report without re-running.
     AlreadyComplete,
     /// The job is quarantined as poison from an earlier run; it stays
     /// quarantined and is reported, not re-run.
@@ -297,8 +308,8 @@ pub struct PoisonJob {
 /// What startup recovery found in the queue directory.
 #[derive(Clone, Debug, Default)]
 pub struct Recovery {
-    /// Quarantine notices for damaged files (journal, snapshot, result
-    /// shards). Empty on clean startups.
+    /// Quarantine notices for a damaged journal or snapshot. Empty on
+    /// clean startups.
     pub quarantines: Vec<Quarantine>,
     /// Jobs whose dangling lease (worker died mid-job) was reclaimed and
     /// re-enqueued with their budget intact.
@@ -310,13 +321,14 @@ pub struct Recovery {
 /// Counters describing one finished [`JobQueue::drain`].
 #[derive(Clone, Debug)]
 pub struct DrainOutcome {
-    /// Records for every job with a durable terminal result (freshly
-    /// executed plus resumed), merged deterministically (id-sorted).
+    /// Records for every job with a terminal result (freshly executed
+    /// plus resumed), read from the state table (id-sorted).
     pub records: BTreeMap<String, JobRecord>,
     /// Poison jobs quarantined so far, id-sorted; rendered in the report
     /// appendix.
     pub poison: Vec<PoisonJob>,
-    /// Jobs skipped at enqueue because their result was already durable.
+    /// Jobs skipped at enqueue because the journal already held their
+    /// terminal record.
     pub resumed: usize,
     /// Jobs executed to a terminal record by this drain (cache hits
     /// included).
@@ -413,27 +425,6 @@ enum State {
 }
 
 impl State {
-    fn label(self) -> &'static str {
-        match self {
-            State::Pending => "pending",
-            State::Leased => "leased",
-            State::Committed => "committed",
-            State::Failed => "failed",
-            State::Quarantined => "quarantined",
-        }
-    }
-
-    fn from_label(label: &str) -> Option<State> {
-        Some(match label {
-            "pending" => State::Pending,
-            "leased" => State::Leased,
-            "committed" => State::Committed,
-            "failed" => State::Failed,
-            "quarantined" => State::Quarantined,
-            _ => return None,
-        })
-    }
-
     fn is_terminal(self) -> bool {
         matches!(self, State::Committed | State::Failed | State::Quarantined)
     }
@@ -443,7 +434,7 @@ impl State {
 /// struct minus the payload (workload closures cannot be serialized; a
 /// restarted service re-enqueues the same job sequence to re-attach
 /// them).
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Entry {
     state: State,
     campaign: String,
@@ -452,6 +443,9 @@ struct Entry {
     /// changes).
     failures: u32,
     error: Option<String>,
+    /// The terminal result: present exactly in the `Committed` and
+    /// `Failed` states. The only copy the queue holds.
+    record: Option<JobRecord>,
     payload: Option<Job>,
     enqueued_at: Option<Instant>,
 }
@@ -464,6 +458,7 @@ impl Entry {
             priority,
             failures: 0,
             error: None,
+            record: None,
             payload: None,
             enqueued_at: None,
         }
@@ -503,8 +498,25 @@ struct Running {
     campaign: String,
     priority: i32,
     leased_at: Instant,
-    deadline: Instant,
+    /// `None` when the lease outlasts any representable instant.
+    deadline: Option<Instant>,
     takeback: Option<Takeback>,
+}
+
+/// A job handed to a worker by [`JobQueue::next_job`].
+struct Leased {
+    id: String,
+    job: Job,
+    token: CancelToken,
+    /// Enqueue-to-lease wait.
+    waited: Duration,
+}
+
+/// Where the durable log lives.
+#[derive(Debug)]
+struct Log {
+    journal: PathBuf,
+    snapshot: PathBuf,
 }
 
 #[derive(Debug, Default)]
@@ -513,7 +525,6 @@ struct Stats {
     executed: usize,
     preempted: usize,
     lease_expiries: usize,
-    re_leased: usize,
 }
 
 #[derive(Debug)]
@@ -542,8 +553,8 @@ struct Inner {
 /// The durable job queue. See the [module docs](self).
 pub struct JobQueue {
     cfg: QueueConfig,
-    journal_path: PathBuf,
-    snapshot_path: PathBuf,
+    /// `None` for an in-memory queue: the journal writer persists nothing.
+    log: Option<Log>,
     /// The live lease deadline in milliseconds. Starts at
     /// [`QueueConfig::lease`]; services may raise it at runtime from the
     /// observed run-time distribution ([`JobQueue::set_lease`]).
@@ -552,7 +563,6 @@ pub struct JobQueue {
     work: Condvar,
     cancel: CancelToken,
     gauges: Arc<QueueGauges>,
-    store: ManifestStore,
     cache: Option<CacheStore>,
     recovery: Recovery,
     cache_hits: AtomicUsize,
@@ -569,9 +579,10 @@ impl fmt::Debug for JobQueue {
 
 impl JobQueue {
     /// Opens (or creates) the queue at [`QueueConfig::dir`], replaying the
-    /// snapshot and journal: a half-written final record is dropped,
-    /// damaged files are quarantined to `.corrupt` siblings, dangling
-    /// leases are reclaimed (or quarantined as poison once over budget).
+    /// snapshot and journal: a half-written final record is truncated
+    /// away, damaged files are quarantined to `.corrupt` siblings (keeping
+    /// every sealed journal record before the damage), dangling leases
+    /// are reclaimed (or quarantined as poison once over budget).
     ///
     /// # Errors
     ///
@@ -583,113 +594,42 @@ impl JobQueue {
         cfg.validate()?;
         std::fs::create_dir_all(&cfg.dir)
             .map_err(|e| ManifestError::Io(format!("creating {}: {e}", cfg.dir.display())))?;
-        let journal_path = cfg.dir.join(JOURNAL_FILE);
-        let snapshot_path = cfg.dir.join(SNAPSHOT_FILE);
+        let log = Log {
+            journal: cfg.dir.join(JOURNAL_FILE),
+            snapshot: cfg.dir.join(SNAPSHOT_FILE),
+        };
         let mut recovery = Recovery::default();
-
-        // 1. The snapshot: the folded base state. A damaged snapshot is
-        // quarantined and replay proceeds from empty — terminal results
-        // still live in the manifest shards, so nothing durable is lost.
-        let (gen, mut jobs) = match manifest::read_sealed(&snapshot_path) {
-            Ok(Some(body)) => match parse_snapshot(&body) {
-                Ok(state) => state,
-                Err(error) => {
-                    recovery
-                        .quarantines
-                        .push(manifest::quarantine_file(&snapshot_path, error)?);
-                    (0, BTreeMap::new())
-                }
-            },
-            Ok(None) => (0, BTreeMap::new()),
-            Err(error) if error.is_corruption() => {
-                recovery
-                    .quarantines
-                    .push(manifest::quarantine_file(&snapshot_path, error)?);
-                (0, BTreeMap::new())
-            }
-            Err(io) => return Err(io.into()),
-        };
-
-        // 2. The journal tail: replayed record by record on top of the
-        // snapshot. Only records of the current generation apply —
-        // anything older is already folded into the snapshot (a crash
-        // between snapshot install and journal truncation leaves stale
-        // records behind; the generation stamp makes replay idempotent).
-        let journal_text = match std::fs::read_to_string(&journal_path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-            Err(e) => {
-                return Err(QueueError::Journal(ManifestError::Io(format!(
-                    "reading {}: {e}",
-                    journal_path.display()
-                ))))
-            }
-        };
-        match parse_journal(&journal_text) {
-            Ok((records, valid_len, torn)) => {
-                for record in records {
-                    if record.gen >= gen {
-                        apply(&mut jobs, record);
-                    }
-                }
-                if torn {
-                    // Truncate back to the last sealed record so future
-                    // appends never interleave with the torn garbage.
-                    cfg.io
-                        .with(|io| io.write(&journal_path, &journal_text.as_bytes()[..valid_len]))
-                        .map_err(|e| {
-                            ManifestError::Io(format!(
-                                "truncating torn journal {}: {e}",
-                                journal_path.display()
-                            ))
-                        })?;
-                    recovery.torn_tail_dropped = true;
-                }
-            }
-            Err(error) => {
-                recovery
-                    .quarantines
-                    .push(manifest::quarantine_file(&journal_path, error)?);
-            }
+        let (gen, jobs) = replay(&cfg, &log, &mut recovery)?;
+        let mut queue = JobQueue::with_state(cfg, Some(log), gen, jobs, recovery);
+        queue.reclaim_dangling_leases()?;
+        if !queue.recovery.quarantines.is_empty() {
+            // Fold what survived into a fresh snapshot at once, so the
+            // next open starts from healthy files.
+            queue.compact_locked(&mut queue.lock())?;
         }
+        Ok(queue)
+    }
 
-        // 3. Dangling leases: the worker (or process) holding them died.
-        // Reclaim with the budget intact, or quarantine poison jobs.
-        let mut re_leased = 0usize;
-        let mut poison_appends = Vec::new();
-        for (id, entry) in &mut jobs {
-            if entry.state == State::Leased {
-                entry.charge(LEASE_LOST);
-                if entry.failures >= cfg.max_lease_failures {
-                    entry.state = State::Quarantined;
-                    poison_appends.push(quarantined_record(gen, id, entry));
-                } else {
-                    entry.state = State::Pending;
-                    re_leased += 1;
-                }
-            }
-        }
-        for text in poison_appends {
-            cfg.io
-                .with(|io| io.append(&journal_path, text.as_bytes()))
-                .map_err(|e| {
-                    ManifestError::Io(format!("appending to {}: {e}", journal_path.display()))
-                })?;
-        }
-        recovery.re_leased = re_leased;
+    /// A queue whose journal writer persists nothing: the same state
+    /// machine for a campaign without a directory.
+    pub(crate) fn in_memory(cfg: QueueConfig) -> Result<JobQueue, QueueError> {
+        cfg.validate()?;
+        Ok(JobQueue::with_state(
+            cfg,
+            None,
+            0,
+            BTreeMap::new(),
+            Recovery::default(),
+        ))
+    }
 
-        // 4. The durable results and the cache.
-        let results = cfg.dir.join(RESULTS_FILE);
-        let mut store = match cfg.shards {
-            None => ManifestStore::single(results),
-            Some(n) => ManifestStore::sharded(
-                ShardLayout::new(results, n)
-                    .map_err(|e| QueueError::InvalidConfig(e.to_string()))?,
-            ),
-        };
-        recovery.quarantines.extend(store.load()?);
-        let cache = cfg.cache_dir.clone().map(CacheStore::new);
-
+    fn with_state(
+        cfg: QueueConfig,
+        log: Option<Log>,
+        gen: u64,
+        jobs: BTreeMap<String, Entry>,
+        recovery: Recovery,
+    ) -> JobQueue {
         let inner = Inner {
             campaigns: BTreeMap::new(),
             jobs,
@@ -700,30 +640,61 @@ impl JobQueue {
             live: 0,
             drain_active: false,
             idle_workers: 0,
-            stats: Stats {
-                re_leased,
-                ..Stats::default()
-            },
+            stats: Stats::default(),
             waits: BTreeMap::new(),
             runs: BTreeMap::new(),
             persist_error: None,
         };
         let lease_ms = u64::try_from(cfg.lease.as_millis()).unwrap_or(u64::MAX);
-        Ok(JobQueue {
+        let cache = cfg.cache_dir.clone().map(CacheStore::new);
+        JobQueue {
             cfg,
-            journal_path,
-            snapshot_path,
+            log,
             lease_ms: AtomicU64::new(lease_ms),
             inner: Mutex::new(inner),
             work: Condvar::new(),
             cancel: CancelToken::new(),
             gauges: QueueGauges::new(),
-            store,
             cache,
             recovery,
             cache_hits: AtomicUsize::new(0),
             cache_misses: AtomicUsize::new(0),
-        })
+        }
+    }
+
+    /// Replaces the service stop token, so a campaign's own token stops
+    /// the drain.
+    pub(crate) fn with_cancel(mut self, cancel: CancelToken) -> JobQueue {
+        self.cancel = cancel;
+        self
+    }
+
+    /// Dangling leases: the worker (or process) holding them died.
+    /// Reclaims each with its budget intact, or quarantines it as poison.
+    fn reclaim_dangling_leases(&mut self) -> Result<(), QueueError> {
+        let max_failures = self.cfg.max_lease_failures;
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        let mut re_leased = 0usize;
+        let mut poisoned = Vec::new();
+        for (id, entry) in &mut inner.jobs {
+            if entry.state == State::Leased {
+                entry.charge(LEASE_LOST);
+                if entry.failures >= max_failures {
+                    entry.state = State::Quarantined;
+                    poisoned.push(quarantined_record_body(id, entry));
+                } else {
+                    entry.state = State::Pending;
+                    re_leased += 1;
+                }
+            }
+        }
+        for body in poisoned {
+            self.append_record(inner, body)?;
+        }
+        drop(guard);
+        self.recovery.re_leased = re_leased;
+        Ok(())
     }
 
     /// What startup recovery found (quarantines, reclaimed leases, torn
@@ -783,7 +754,7 @@ impl JobQueue {
 
     /// Enqueues `job` under `campaign`.
     ///
-    /// Jobs whose result is already durable are skipped
+    /// Jobs whose terminal record is already in the journal are skipped
     /// ([`Enqueued::AlreadyComplete`]); quarantined poison jobs stay
     /// quarantined ([`Enqueued::Poisoned`]). Jobs recovered from the
     /// journal in a non-terminal state re-attach their payload and keep
@@ -803,40 +774,19 @@ impl JobQueue {
         let priority = spec.priority.saturating_add(job.priority);
         let id = job.id.clone();
 
-        let existing = inner.jobs.get(&id).map(|e| (e.state, e.payload.is_some()));
-        let needs_record = match existing {
+        let needs_record = match inner.jobs.get(&id).map(|e| (e.state, e.payload.is_some())) {
             Some((State::Quarantined, _)) => return Ok(Enqueued::Poisoned),
             Some((State::Committed | State::Failed, _)) => {
-                if self.store.contains(&id) {
-                    inner.stats.resumed += 1;
-                    return Ok(Enqueued::AlreadyComplete);
-                }
-                // Terminal in the journal but the durable record is
-                // gone (e.g. a quarantined shard): deliberate re-run.
-                true
+                inner.stats.resumed += 1;
+                return Ok(Enqueued::AlreadyComplete);
             }
-            Some((State::Pending | State::Leased, has_payload)) => {
-                if has_payload {
-                    return Err(QueueError::DuplicateJob(id));
-                }
-                // A recovered entry: re-attach the payload, keep the
-                // failure budget; the journal already knows this job.
-                false
+            Some((State::Pending | State::Leased, true)) => {
+                return Err(QueueError::DuplicateJob(id));
             }
-            None => {
-                if self.store.contains(&id) {
-                    // Durable from a prior life whose journal was
-                    // compacted or quarantined away; repair the journal.
-                    self.append_record(inner, committed_record_body(&id))?;
-                    let mut entry = Entry::new(campaign.to_string(), priority);
-                    entry.state = State::Committed;
-                    inner.jobs.insert(id, entry);
-                    inner.stats.resumed += 1;
-                    self.maybe_compact(inner);
-                    return Ok(Enqueued::AlreadyComplete);
-                }
-                true
-            }
+            // A recovered entry: re-attach the payload, keep the failure
+            // budget; the journal already knows this job.
+            Some((State::Pending | State::Leased, false)) => false,
+            None => true,
         };
 
         if inner.live >= self.cfg.capacity {
@@ -854,11 +804,6 @@ impl JobQueue {
             .jobs
             .entry(id.clone())
             .or_insert_with(|| Entry::new(campaign.to_string(), priority));
-        if entry.state.is_terminal() {
-            // Deliberate re-run of a job whose durable record was lost.
-            entry.failures = 0;
-            entry.error = None;
-        }
         entry.state = State::Pending;
         entry.campaign = campaign.to_string();
         entry.priority = priority;
@@ -953,12 +898,12 @@ impl JobQueue {
             .count()
     }
 
-    /// The merged durable result records (id-sorted), without draining:
-    /// what [`report::render`](crate::report::render) turns into the
+    /// The terminal result records (id-sorted), without draining: what
+    /// [`report::render`](crate::report::render) turns into the
     /// deterministic campaign report.
     #[must_use]
     pub fn merged_records(&self) -> BTreeMap<String, JobRecord> {
-        self.store.merged()
+        records_of(&self.lock().jobs)
     }
 
     /// Aggregate queue state.
@@ -1004,7 +949,7 @@ impl JobQueue {
     ///
     /// # Errors
     ///
-    /// The first journal/shard persist failure (the drain stops rather
+    /// The first journal persist failure (the drain stops rather
     /// than silently losing resume coverage), or
     /// [`QueueError::InvalidConfig`] for a concurrent drain.
     pub fn drain_with(&self, runner: &dyn JobRunner) -> Result<DrainOutcome, QueueError> {
@@ -1051,7 +996,7 @@ impl JobQueue {
             return Err(error.into());
         }
         Ok(DrainOutcome {
-            records: self.store.merged(),
+            records: records_of(&inner.jobs),
             poison: poison_of(&inner.jobs),
             resumed: inner.stats.resumed,
             executed: inner.stats.executed,
@@ -1059,7 +1004,7 @@ impl JobQueue {
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
             preempted: inner.stats.preempted,
             lease_expiries: inner.stats.lease_expiries,
-            re_leased: inner.stats.re_leased,
+            re_leased: self.recovery.re_leased,
             cancelled: self.cancel.is_cancelled(),
             quarantines: self.recovery.quarantines.clone(),
             waits: inner.waits.clone(),
@@ -1081,9 +1026,16 @@ impl JobQueue {
             },
         };
         loop {
-            let Some((id, job, token)) = self.next_job() else {
+            let Some(Leased {
+                id,
+                job,
+                token,
+                waited,
+            }) = self.next_job()
+            else {
                 return;
             };
+            let leased_at = Instant::now();
             telemetry.job_started();
             let probe = campaign::probe_cache(self.cache.as_ref(), &job, &self.cfg.retry);
             let (record, key, hit) = match probe {
@@ -1107,11 +1059,23 @@ impl JobQueue {
                 }
             };
             match record {
-                Some(record) => {
+                Some(mut record) => {
                     if hit {
                         self.cache_hits.fetch_add(1, Ordering::Relaxed);
                     } else {
+                        // Cache before commit: committed ⇒ cached.
                         campaign::store_cache(&self.cfg.io, self.cache.as_ref(), key, &record);
+                    }
+                    // Timing and the CPI stack ride the record only under
+                    // telemetry: records written without it stay
+                    // byte-stable.
+                    if self.cfg.telemetry.enabled {
+                        record.timing = Some(JobTiming {
+                            queue_wait_ms: millis(waited),
+                            run_ms: millis(leased_at.elapsed()),
+                            sim_wall_ms: record.sim.as_ref().map_or(0, |s| millis(s.wall_time)),
+                        });
+                        record.cpi = record.sim.as_ref().map(|s| s.cpi);
                     }
                     if !self.finish_commit(&id, record, telemetry) {
                         return;
@@ -1127,7 +1091,7 @@ impl JobQueue {
 
     /// Blocks until a job is leased, the queue is drained, or the service
     /// stops. Returns `None` when the worker should exit.
-    fn next_job(&self) -> Option<(String, Job, CancelToken)> {
+    fn next_job(&self) -> Option<Leased> {
         let mut inner = self.lock();
         loop {
             if self.cancel.is_cancelled() {
@@ -1163,7 +1127,7 @@ impl JobQueue {
     /// proportional to weights. Ties break by campaign id (BTreeMap
     /// order), then enqueue order (FIFO) — fully deterministic for a
     /// given pick sequence.
-    fn pick_locked(&self, inner: &mut Inner) -> Option<(String, Job, CancelToken)> {
+    fn pick_locked(&self, inner: &mut Inner) -> Option<Leased> {
         // Drop stale FIFO heads (committed elsewhere, re-prioritized)
         // and find the top runnable priority.
         let mut top: Option<i32> = None;
@@ -1241,7 +1205,7 @@ impl JobQueue {
 
     /// Leases `id`: durable `Leased` record, running-set entry, wait
     /// histogram update. Reverts to pending if the journal append fails.
-    fn lease_locked(&self, inner: &mut Inner, id: &str) -> Option<(String, Job, CancelToken)> {
+    fn lease_locked(&self, inner: &mut Inner, id: &str) -> Option<Leased> {
         let now = Instant::now();
         if let Err(error) = self.append_record(inner, leased_record_body(id)) {
             if let QueueError::Journal(e) = error {
@@ -1257,9 +1221,11 @@ impl JobQueue {
         let campaign = entry.campaign.clone();
         let priority = entry.priority;
         hostobs::inc("queue_leases_total");
-        if let Some(enqueued_at) = entry.enqueued_at {
-            let wait_ms =
-                u64::try_from(now.duration_since(enqueued_at).as_millis()).unwrap_or(u64::MAX);
+        let waited = entry
+            .enqueued_at
+            .map_or(Duration::ZERO, |at| now.duration_since(at));
+        if entry.enqueued_at.is_some() {
+            let wait_ms = millis(waited);
             inner
                 .waits
                 .entry(campaign.clone())
@@ -1275,20 +1241,25 @@ impl JobQueue {
                 campaign,
                 priority,
                 leased_at: now,
-                deadline: now + lease,
+                deadline: now.checked_add(lease),
                 takeback: None,
             },
         );
         self.maybe_compact(inner);
         self.refresh_gauges(inner, now);
-        Some((id.to_string(), job, token))
+        Some(Leased {
+            id: id.to_string(),
+            job,
+            token,
+            waited,
+        })
     }
 
     /// Marks expired leases for take-back (cancelling their tokens).
     fn reap_locked(&self, inner: &mut Inner, now: Instant) -> usize {
         let mut reaped = 0;
         for running in inner.running.values_mut() {
-            if running.takeback.is_none() && now >= running.deadline {
+            if running.takeback.is_none() && running.deadline.is_some_and(|d| now >= d) {
                 running.takeback = Some(Takeback::Expired);
                 running.token.cancel();
                 reaped += 1;
@@ -1320,13 +1291,11 @@ impl JobQueue {
         }
     }
 
-    /// Commits a terminal record: durable result first (cache write
-    /// already happened), then the journal transition. Returns `false`
-    /// when a persist failure should stop the worker.
+    /// Commits a terminal record: one `Committed` (or `Failed`) journal
+    /// append carrying the result (the cache write already happened).
+    /// Returns `false` when a persist failure should stop the worker.
     fn finish_commit(&self, id: &str, record: JobRecord, telemetry: &Telemetry) -> bool {
         let failed = record.status == JobStatus::Failed;
-        let error_text = failed.then(|| last_attempt_error(&record));
-        let committed = self.cfg.io.with(|io| self.store.commit(io, record.clone()));
         let mut inner = self.lock();
         if let Some(running) = inner.running.remove(id) {
             if running.takeback == Some(Takeback::Expired) {
@@ -1337,7 +1306,7 @@ impl JobQueue {
             }
             // Lease-to-commit run time: the distribution a service derives
             // its suggested lease deadline from.
-            let run_ms = u64::try_from(running.leased_at.elapsed().as_millis()).unwrap_or(u64::MAX);
+            let run_ms = millis(running.leased_at.elapsed());
             inner
                 .runs
                 .entry(running.campaign.clone())
@@ -1345,25 +1314,15 @@ impl JobQueue {
                 .record(run_ms);
             hostobs::observe("queue_job_run_ms", run_ms);
         }
-        if let Err(e) = committed {
-            inner.persist_error.get_or_insert(e);
-            self.cancel.cancel();
-            self.work.notify_all();
-            return false;
-        }
-        let entry = inner.jobs.get_mut(id).expect("committing a known job");
-        if entry.state.is_terminal() {
+        if inner.jobs[id].state.is_terminal() {
             // A commit racing a take-back that already resolved: the
-            // durable store holds an identical record; nothing to redo.
+            // journal holds this job's terminal record; nothing to redo.
             telemetry.job_finished(&record);
             self.work.notify_all();
             return true;
         }
-        let body = if failed {
-            failed_record_body(id, error_text.as_deref().unwrap_or("failed"))
-        } else {
-            committed_record_body(id)
-        };
+        let error = failed.then(|| last_attempt_error(&record));
+        let body = terminal_record_body(id, &record, error.as_deref());
         if let Err(error) = self.append_record(&mut inner, body) {
             if let QueueError::Journal(e) = error {
                 inner.persist_error.get_or_insert(e);
@@ -1378,13 +1337,14 @@ impl JobQueue {
         } else {
             State::Committed
         };
-        entry.error = error_text;
+        entry.error = error;
+        telemetry.job_finished(&record);
+        entry.record = Some(record);
         entry.payload = None;
         entry.enqueued_at = None;
         inner.live -= 1;
         inner.stats.executed += 1;
         self.maybe_compact(&mut inner);
-        telemetry.job_finished(&record);
         self.refresh_gauges(&mut inner, Instant::now());
         self.work.notify_all();
         true
@@ -1449,22 +1409,14 @@ impl JobQueue {
         }
         entry.charge(error);
         if entry.failures >= self.cfg.max_lease_failures {
-            let gen = inner.gen;
-            let entry = inner.jobs.get_mut(id).expect("checked above");
             entry.state = State::Quarantined;
             entry.payload = None;
             entry.enqueued_at = None;
-            let text = quarantined_record(gen, id, entry);
+            let body = quarantined_record_body(id, entry);
             inner.live -= 1;
-            if self
-                .cfg
-                .io
-                .with(|io| io.append(&self.journal_path, text.as_bytes()))
-                .is_err()
-            {
+            if self.append_record(inner, body).is_err() {
                 self.cancel.cancel();
             } else {
-                inner.records_since_compact += 1;
                 self.maybe_compact(inner);
             }
         } else {
@@ -1488,8 +1440,9 @@ impl JobQueue {
         }
     }
 
-    /// Appends one sealed record to the journal. Compaction is NOT
-    /// triggered here: the caller appends first, applies the matching
+    /// Appends one sealed record to the journal — the journal writer, and
+    /// the one place an in-memory queue skips persistence. Compaction is
+    /// NOT triggered here: the caller appends first, applies the matching
     /// in-memory transition, and only then calls
     /// [`JobQueue::maybe_compact`] — otherwise a compaction fired
     /// mid-transition would snapshot the *pre*-transition state while
@@ -1500,16 +1453,17 @@ impl JobQueue {
         inner: &mut Inner,
         body: Vec<(String, Value)>,
     ) -> Result<(), QueueError> {
+        let Some(log) = &self.log else {
+            return Ok(());
+        };
         let text = sealed_record(inner.gen, body);
         hostobs::inc("queue_journal_appends_total");
         hostobs::scope(Phase::QueueJournal, || {
             self.cfg
                 .io
-                .with(|io| io.append(&self.journal_path, text.as_bytes()))
+                .with(|io| io.append(&log.journal, text.as_bytes()))
         })
-        .map_err(|e| {
-            ManifestError::Io(format!("appending to {}: {e}", self.journal_path.display()))
-        })?;
+        .map_err(|e| ManifestError::Io(format!("appending to {}: {e}", log.journal.display())))?;
         inner.records_since_compact += 1;
         Ok(())
     }
@@ -1529,31 +1483,28 @@ impl JobQueue {
         }
     }
 
-    /// Folds the state table into a fresh snapshot and truncates the
-    /// journal. Generation-stamped so a crash between the two steps
-    /// replays nothing twice.
+    /// Folds the state table, results included, into a fresh snapshot and
+    /// truncates the journal. Generation-stamped so a crash between the
+    /// two steps replays nothing twice.
     fn compact_locked(&self, inner: &mut Inner) -> Result<(), QueueError> {
+        let Some(log) = &self.log else {
+            return Ok(());
+        };
         hostobs::inc("queue_compactions_total");
         hostobs::timed(Phase::QueueJournal, "queue_compaction_ns", || {
-            inner.gen += 1;
-            let body = snapshot_body(inner.gen, &inner.jobs);
-            let installed = self
-                .cfg
-                .io
-                .with(|io| manifest::save_sealed_with(io, &self.snapshot_path, &body));
-            if let Err(e) = installed {
-                inner.gen -= 1; // nothing durable changed; stay on the old one
-                return Err(e.into());
-            }
+            let gen = inner.gen + 1;
+            let body: String = inner
+                .jobs
+                .iter()
+                .flat_map(|(id, entry)| compacted_records(id, entry))
+                .map(|fields| sealed_record(gen, fields))
+                .collect();
             self.cfg
                 .io
-                .with(|io| io.write(&self.journal_path, b""))
-                .map_err(|e| {
-                    ManifestError::Io(format!(
-                        "truncating {} after compaction: {e}",
-                        self.journal_path.display()
-                    ))
-                })?;
+                .with(|io| manifest::save_sealed_with(io, &log.snapshot, &body))?;
+            // Installed: the new generation is durable.
+            inner.gen = gen;
+            truncate_journal(&self.cfg.io, &log.journal, 0)?;
             inner.records_since_compact = 0;
             Ok(())
         })
@@ -1593,7 +1544,7 @@ impl JobQueue {
 // ----------------------------------------------------------------------
 
 /// One decoded journal record.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Debug)]
 struct Record {
     gen: u64,
     kind: Kind,
@@ -1602,6 +1553,8 @@ struct Record {
     priority: i32,
     failures: u32,
     error: Option<String>,
+    /// The job's result, carried by `Committed` and `Failed` records.
+    result: Option<JobRecord>,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -1650,19 +1603,23 @@ fn leased_record_body(id: &str) -> Vec<(String, Value)> {
     ]
 }
 
-fn committed_record_body(id: &str) -> Vec<(String, Value)> {
-    vec![
-        ("record".into(), Value::Str("committed".into())),
+/// A `Committed` record, or a `Failed` one when `error` is set; either
+/// carries the job's result.
+fn terminal_record_body(id: &str, record: &JobRecord, error: Option<&str>) -> Vec<(String, Value)> {
+    let kind = if error.is_some() {
+        "failed"
+    } else {
+        "committed"
+    };
+    let mut body = vec![
+        ("record".into(), Value::Str(kind.into())),
         ("job".into(), Value::Str(id.into())),
-    ]
-}
-
-fn failed_record_body(id: &str, error: &str) -> Vec<(String, Value)> {
-    vec![
-        ("record".into(), Value::Str("failed".into())),
-        ("job".into(), Value::Str(id.into())),
-        ("error".into(), Value::Str(error.into())),
-    ]
+    ];
+    if let Some(error) = error {
+        body.push(("error".into(), Value::Str(error.into())));
+    }
+    body.push(("result".into(), record.to_value()));
+    body
 }
 
 fn preempted_record_body(id: &str) -> Vec<(String, Value)> {
@@ -1672,58 +1629,162 @@ fn preempted_record_body(id: &str) -> Vec<(String, Value)> {
     ]
 }
 
-fn quarantined_record(gen: u64, id: &str, entry: &Entry) -> String {
-    sealed_record(
-        gen,
-        vec![
-            ("record".into(), Value::Str("quarantined".into())),
-            ("job".into(), Value::Str(id.into())),
-            ("failures".into(), Value::Int(i64::from(entry.failures))),
-            (
-                "error".into(),
-                Value::Str(entry.error.clone().unwrap_or_else(|| LEASE_LOST.into())),
-            ),
-        ],
-    )
+fn quarantined_record_body(id: &str, entry: &Entry) -> Vec<(String, Value)> {
+    vec![
+        ("record".into(), Value::Str("quarantined".into())),
+        ("job".into(), Value::Str(id.into())),
+        ("failures".into(), Value::Int(i64::from(entry.failures))),
+        (
+            "error".into(),
+            Value::Str(entry.error.clone().unwrap_or_else(|| LEASE_LOST.into())),
+        ),
+    ]
 }
 
-/// Splits the journal into individually sealed records. Returns the
-/// decoded records, the byte length of the valid prefix, and whether a
-/// torn tail was dropped.
+/// Folds the snapshot and the journal into the state table, repairing a
+/// torn tail and quarantining damage (see the [module docs](self)).
+/// Returns the generation to continue from and the replayed entries.
+fn replay(
+    cfg: &QueueConfig,
+    log: &Log,
+    recovery: &mut Recovery,
+) -> Result<(u64, BTreeMap<String, Entry>), QueueError> {
+    // 1. The snapshot: the log compacted to the records that rebuild the
+    // state table, results included. A damaged snapshot is quarantined
+    // and replay proceeds from the journal alone.
+    let snapshot = manifest::read_sealed(&log.snapshot)
+        .and_then(|body| body.as_deref().map(parse_snapshot).transpose());
+    let records = match snapshot {
+        Ok(records) => records.unwrap_or_default(),
+        Err(error) if error.is_corruption() => {
+            recovery
+                .quarantines
+                .push(manifest::quarantine_file(&log.snapshot, error)?);
+            Vec::new()
+        }
+        Err(io) => return Err(io.into()),
+    };
+    let base = records.iter().map(|r| r.gen).max().unwrap_or(0);
+    let mut jobs = BTreeMap::new();
+    for record in records {
+        apply(&mut jobs, record);
+    }
+
+    // 2. The journal, record by record on top of the snapshot. Only
+    // records of the snapshot's generation or later apply — older ones
+    // are already folded in (a crash between snapshot install and journal
+    // truncation leaves them behind; the stamp makes replay idempotent).
+    let bytes = match std::fs::read(&log.journal) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+        Err(e) => {
+            return Err(ManifestError::Io(format!("reading {}: {e}", log.journal.display())).into())
+        }
+    };
+    // Bytes that are not UTF-8 end the readable text: an incomplete
+    // character at the very end is a torn append, anything else damage.
+    let (text, unreadable) = match std::str::from_utf8(&bytes) {
+        Ok(text) => (text, None),
+        Err(e) => (
+            std::str::from_utf8(&bytes[..e.valid_up_to()]).expect("valid prefix"),
+            Some(e),
+        ),
+    };
+    let mut parsed = parse_journal(text);
+    if let (Some(e), None) = (unreadable, &parsed.damage) {
+        if e.error_len().is_some() {
+            parsed.damage = Some(ManifestError::Malformed(format!(
+                "invalid UTF-8 at byte {}",
+                e.valid_up_to()
+            )));
+        } else {
+            parsed.torn = true;
+        }
+    }
+    let mut gen = base;
+    for record in parsed.records {
+        if record.gen >= base {
+            gen = gen.max(record.gen);
+            apply(&mut jobs, record);
+        }
+    }
+    if let Some(error) = parsed.damage {
+        // Everything sealed before the damage is already replayed; the
+        // file goes aside as evidence and the caller compacts.
+        recovery.quarantines.push(manifest::quarantine_file(
+            &log.journal,
+            error.with_context("queue journal"),
+        )?);
+    } else if parsed.torn {
+        // Cut back to the last sealed record so future appends never
+        // interleave with the torn garbage.
+        truncate_journal(&cfg.io, &log.journal, parsed.valid_len as u64)?;
+        recovery.torn_tail_dropped = true;
+    }
+    Ok((gen, jobs))
+}
+
+/// Cuts the journal to `len` bytes in place. A missing journal (never
+/// written, or just quarantined) is already empty.
+fn truncate_journal(io: &SharedIo, journal: &Path, len: u64) -> Result<(), ManifestError> {
+    match io.with(|io| io.truncate(journal, len)) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(ManifestError::Io(format!(
+            "truncating {}: {e}",
+            journal.display()
+        ))),
+        _ => Ok(()),
+    }
+}
+
+/// What [`parse_journal`] recovered from the journal text.
+#[derive(Debug)]
+struct Parsed {
+    /// Every sealed record before the first damage, in order.
+    records: Vec<Record>,
+    /// Byte length of the sealed prefix those records span.
+    valid_len: usize,
+    /// Whether a half-written final record follows the prefix.
+    torn: bool,
+    /// Damage before the final record: corruption, not a torn append.
+    damage: Option<ManifestError>,
+}
+
+/// Splits the journal into individually sealed records.
 ///
 /// A record is the byte span up to and including a checksum trailer
-/// line. The final span is allowed to be damaged in any way — that is
-/// the torn tail a crash mid-append leaves — and is silently dropped.
-/// Damage *before* the final span is corruption and errors out (the
-/// caller quarantines the whole journal).
-fn parse_journal(text: &str) -> Result<(Vec<Record>, usize, bool), ManifestError> {
-    let mut records = Vec::new();
-    let mut valid_len = 0usize;
+/// line. The final span may be damaged in any way — that is the torn tail
+/// a crash mid-append leaves — and is dropped. Damage *before* the final
+/// span is corruption: parsing stops there, keeping the records before
+/// it.
+fn parse_journal(text: &str) -> Parsed {
+    let mut parsed = Parsed {
+        records: Vec::new(),
+        valid_len: 0,
+        torn: false,
+        damage: None,
+    };
     let mut pos = 0usize;
-    let mut chunk_start = 0usize;
     for line in text.split_inclusive('\n') {
         pos += line.len();
         if line.starts_with(manifest::CHECKSUM_PREFIX) && line.ends_with('\n') {
-            let chunk = &text[chunk_start..pos];
-            match decode_record(chunk) {
+            match decode_record(&text[parsed.valid_len..pos]) {
                 Ok(record) => {
-                    records.push(record);
-                    chunk_start = pos;
-                    valid_len = pos;
+                    parsed.records.push(record);
+                    parsed.valid_len = pos;
+                }
+                Err(_) if pos == text.len() => {
+                    parsed.torn = true;
+                    return parsed;
                 }
                 Err(error) => {
-                    if pos == text.len() {
-                        // The final span: a torn (or otherwise damaged)
-                        // last record is dropped, never an error.
-                        return Ok((records, valid_len, true));
-                    }
-                    return Err(error.with_context("queue journal"));
+                    parsed.damage = Some(error);
+                    return parsed;
                 }
             }
         }
     }
-    let torn = chunk_start < text.len();
-    Ok((records, valid_len, torn))
+    parsed.torn = parsed.valid_len < text.len();
+    parsed
 }
 
 fn decode_record(chunk: &str) -> Result<Record, ManifestError> {
@@ -1743,6 +1804,14 @@ fn decode_record(chunk: &str) -> Result<Record, ManifestError> {
         .and_then(Value::as_int)
         .and_then(|g| u64::try_from(g).ok())
         .ok_or_else(|| ManifestError::Malformed("record missing generation".into()))?;
+    let result = match kind {
+        Kind::Committed | Kind::Failed => Some(
+            doc.get("result")
+                .and_then(JobRecord::from_value)
+                .ok_or_else(|| ManifestError::Malformed("terminal record missing result".into()))?,
+        ),
+        _ => None,
+    };
     Ok(Record {
         gen,
         kind,
@@ -1763,163 +1832,120 @@ fn decode_record(chunk: &str) -> Result<Record, ManifestError> {
             .and_then(|f| u32::try_from(f).ok())
             .unwrap_or(0),
         error: doc.get("error").and_then(Value::as_str).map(str::to_string),
+        result,
     })
 }
 
-/// Folds one record into the replayed state table. Transitions are
-/// monotone toward terminal states, so replaying a stale journal suffix
-/// over a newer snapshot (possible when a crash lands between snapshot
-/// install and journal truncation) is harmless even before the
-/// generation filter.
+/// Folds one record into the replayed state table. Terminal states are
+/// final, so replaying a stale journal suffix over a newer snapshot
+/// (possible when a crash lands between snapshot install and journal
+/// truncation) is harmless even before the generation filter.
 fn apply(jobs: &mut BTreeMap<String, Entry>, record: Record) {
+    let entry = match record.kind {
+        Kind::Leased | Kind::Preempted => match jobs.get_mut(&record.job) {
+            Some(entry) => entry,
+            None => return,
+        },
+        _ => jobs
+            .entry(record.job)
+            .or_insert_with(|| Entry::new(record.campaign.clone(), record.priority)),
+    };
+    if entry.state.is_terminal() {
+        return;
+    }
     match record.kind {
         Kind::Enqueued => {
-            let entry = jobs
-                .entry(record.job)
-                .or_insert_with(|| Entry::new(record.campaign.clone(), record.priority));
             entry.campaign = record.campaign;
             entry.priority = record.priority;
-            if entry.state.is_terminal() {
-                // An enqueue after a terminal state is always a
-                // deliberate re-run (the live path only appends it when
-                // the durable record is gone): fresh budget.
-                entry.failures = 0;
-                entry.error = None;
-            }
+            // Zero and none in live records (a job is journaled
+            // `enqueued` once); a compacted one carries its lease-failure
+            // budget.
+            entry.failures = record.failures;
+            entry.error = record.error;
             entry.state = State::Pending;
         }
-        Kind::Leased => {
-            if let Some(entry) = jobs.get_mut(&record.job) {
-                match entry.state {
-                    State::Pending => entry.state = State::Leased,
-                    // A second lease without an intervening terminal or
-                    // pending transition: the first lease was lost.
-                    State::Leased => entry.charge(LEASE_LOST),
-                    _ => {}
-                }
-            }
-        }
+        Kind::Leased => match entry.state {
+            State::Pending => entry.state = State::Leased,
+            // A second lease without an intervening terminal or pending
+            // transition: the first lease was lost.
+            State::Leased => entry.charge(LEASE_LOST),
+            _ => {}
+        },
         Kind::Preempted => {
-            if let Some(entry) = jobs.get_mut(&record.job) {
-                if entry.state == State::Leased {
-                    entry.state = State::Pending;
-                }
+            if entry.state == State::Leased {
+                entry.state = State::Pending;
             }
         }
-        Kind::Committed => {
-            let entry = jobs
-                .entry(record.job)
-                .or_insert_with(|| Entry::new(record.campaign.clone(), record.priority));
-            entry.state = State::Committed;
-            entry.payload = None;
-        }
-        Kind::Failed => {
-            let entry = jobs
-                .entry(record.job)
-                .or_insert_with(|| Entry::new(record.campaign.clone(), record.priority));
-            if entry.state != State::Committed {
-                entry.state = State::Failed;
-                entry.error = record.error;
-                entry.payload = None;
-            }
+        Kind::Committed | Kind::Failed => {
+            entry.state = if record.kind == Kind::Committed {
+                State::Committed
+            } else {
+                State::Failed
+            };
+            entry.error = record.error;
+            entry.record = record.result;
         }
         Kind::Quarantined => {
-            let entry = jobs
-                .entry(record.job)
-                .or_insert_with(|| Entry::new(record.campaign.clone(), record.priority));
-            if entry.state != State::Committed {
-                entry.state = State::Quarantined;
-                entry.failures = record.failures;
-                entry.error = record.error;
-                entry.payload = None;
-            }
+            entry.state = State::Quarantined;
+            entry.failures = record.failures;
+            entry.error = record.error;
         }
     }
 }
 
-fn snapshot_body(gen: u64, jobs: &BTreeMap<String, Entry>) -> String {
-    Value::Obj(vec![
-        ("version".into(), Value::Int(QUEUE_VERSION)),
-        ("gen".into(), Value::Int(gen as i64)),
-        (
-            "jobs".into(),
-            Value::Arr(
-                jobs.iter()
-                    .map(|(id, entry)| {
-                        Value::Obj(vec![
-                            ("job".into(), Value::Str(id.clone())),
-                            ("campaign".into(), Value::Str(entry.campaign.clone())),
-                            ("priority".into(), Value::Int(i64::from(entry.priority))),
-                            ("state".into(), Value::Str(entry.state.label().into())),
-                            ("failures".into(), Value::Int(i64::from(entry.failures))),
-                            (
-                                "error".into(),
-                                entry.error.clone().map_or(Value::Null, Value::Str),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-    .to_json()
+/// The records that rebuild `entry` when replayed onto an empty table:
+/// a snapshot is the log compacted to one record per job (two for a
+/// leased one), each carrying every field its state needs.
+fn compacted_records(id: &str, entry: &Entry) -> Vec<Vec<(String, Value)>> {
+    let kind = match entry.state {
+        State::Pending | State::Leased => "enqueued",
+        State::Committed => "committed",
+        State::Failed => "failed",
+        State::Quarantined => "quarantined",
+    };
+    let mut fields = vec![
+        ("record".into(), Value::Str(kind.into())),
+        ("job".into(), Value::Str(id.into())),
+        ("campaign".into(), Value::Str(entry.campaign.clone())),
+        ("priority".into(), Value::Int(i64::from(entry.priority))),
+        ("failures".into(), Value::Int(i64::from(entry.failures))),
+    ];
+    if let Some(error) = &entry.error {
+        fields.push(("error".into(), Value::Str(error.clone())));
+    }
+    if let Some(record) = &entry.record {
+        fields.push(("result".into(), record.to_value()));
+    }
+    let mut records = vec![fields];
+    if entry.state == State::Leased {
+        records.push(leased_record_body(id));
+    }
+    records
 }
 
-fn parse_snapshot(body: &str) -> Result<(u64, BTreeMap<String, Entry>), ManifestError> {
-    let malformed = |m: &str| ManifestError::Malformed(format!("queue snapshot: {m}"));
-    let doc = parse(body).map_err(|e| malformed(&e))?;
-    let version = doc
-        .get("version")
-        .and_then(Value::as_int)
-        .ok_or_else(|| malformed("missing version"))?;
-    if version != QUEUE_VERSION {
-        return Err(malformed(&format!("unsupported version {version}")));
+/// Splits a verified snapshot body into its records. It was installed
+/// atomically and sealed as a whole, so anything but a clean run of
+/// records is damage.
+fn parse_snapshot(body: &str) -> Result<Vec<Record>, ManifestError> {
+    let parsed = parse_journal(body);
+    match parsed.damage {
+        Some(error) => Err(error.with_context("queue snapshot")),
+        None if parsed.torn => Err(ManifestError::Malformed(
+            "queue snapshot: trailing partial record".into(),
+        )),
+        None => Ok(parsed.records),
     }
-    let gen = doc
-        .get("gen")
-        .and_then(Value::as_int)
-        .and_then(|g| u64::try_from(g).ok())
-        .ok_or_else(|| malformed("missing generation"))?;
-    let mut jobs = BTreeMap::new();
-    for item in doc
-        .get("jobs")
-        .and_then(Value::as_arr)
-        .ok_or_else(|| malformed("missing jobs array"))?
-    {
-        let id = item
-            .get("job")
-            .and_then(Value::as_str)
-            .ok_or_else(|| malformed("job entry missing id"))?;
-        let state = item
-            .get("state")
-            .and_then(Value::as_str)
-            .and_then(State::from_label)
-            .ok_or_else(|| malformed("job entry missing state"))?;
-        let mut entry = Entry::new(
-            item.get("campaign")
-                .and_then(Value::as_str)
-                .unwrap_or("")
-                .to_string(),
-            item.get("priority")
-                .and_then(Value::as_int)
-                .and_then(|p| i32::try_from(p).ok())
-                .unwrap_or(0),
-        );
-        entry.state = state;
-        entry.failures = item
-            .get("failures")
-            .and_then(Value::as_int)
-            .and_then(|f| u32::try_from(f).ok())
-            .unwrap_or(0);
-        entry.error = item
-            .get("error")
-            .and_then(Value::as_str)
-            .map(str::to_string);
-        if jobs.insert(id.to_string(), entry).is_some() {
-            return Err(malformed(&format!("duplicate job `{id}`")));
-        }
-    }
-    Ok((gen, jobs))
+}
+
+/// The terminal result of every job that has one, id-sorted.
+fn records_of(jobs: &BTreeMap<String, Entry>) -> BTreeMap<String, JobRecord> {
+    jobs.iter()
+        .filter_map(|(id, entry)| Some((id.clone(), entry.record.clone()?)))
+        .collect()
+}
+
+fn millis(d: Duration) -> u64 {
+    u64::try_from(d.as_millis()).unwrap_or(u64::MAX)
 }
 
 fn poison_of(jobs: &BTreeMap<String, Entry>) -> Vec<PoisonJob> {
@@ -1949,6 +1975,32 @@ fn last_attempt_error(record: &JobRecord) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::JobSummary;
+    use ffsim_core::WrongPathMode;
+
+    fn result(id: &str) -> JobRecord {
+        JobRecord {
+            id: id.into(),
+            requested_mode: WrongPathMode::NoWrongPath,
+            final_mode: WrongPathMode::NoWrongPath,
+            status: JobStatus::Completed,
+            attempts: vec![],
+            summary: Some(JobSummary {
+                instructions: 1,
+                cycles: 2,
+                wrong_path_instructions: 0,
+                state_digest: 7,
+            }),
+            timing: None,
+            cpi: None,
+            cached: false,
+            sim: None,
+        }
+    }
+
+    fn json(record: &Option<JobRecord>) -> Option<String> {
+        record.as_ref().map(|r| r.to_value().to_json())
+    }
 
     fn entry(campaign: &str, state: State) -> Entry {
         let mut e = Entry::new(campaign.into(), 0);
@@ -1957,58 +2009,100 @@ mod tests {
     }
 
     #[test]
-    fn journal_records_round_trip() {
+    fn worker_count_boundaries_are_invalid_config() {
+        assert!(validate_worker_count(0).is_ok(), "0 means one per CPU");
+        assert!(validate_worker_count(MAX_WORKERS).is_ok());
+        assert!(matches!(
+            validate_worker_count(MAX_WORKERS + 1),
+            Err(SimError::InvalidConfig(_))
+        ));
+    }
+
+    #[test]
+    fn journal_records_round_trip_and_carry_results() {
         let text = format!(
             "{}{}{}",
             sealed_record(0, enqueued_record_body("a/x", "a", 3)),
             sealed_record(0, leased_record_body("a/x")),
-            sealed_record(1, committed_record_body("a/x")),
+            sealed_record(1, terminal_record_body("a/x", &result("a/x"), None)),
         );
-        let (records, valid_len, torn) = parse_journal(&text).unwrap();
-        assert_eq!(records.len(), 3);
-        assert!(!torn);
-        assert_eq!(valid_len, text.len());
-        assert_eq!(records[0].kind, Kind::Enqueued);
-        assert_eq!(records[0].campaign, "a");
-        assert_eq!(records[0].priority, 3);
-        assert_eq!(records[2].gen, 1);
+        let parsed = parse_journal(&text);
+        assert_eq!(parsed.records.len(), 3);
+        assert!(!parsed.torn);
+        assert!(parsed.damage.is_none());
+        assert_eq!(parsed.valid_len, text.len());
+        assert_eq!(parsed.records[0].kind, Kind::Enqueued);
+        assert_eq!(parsed.records[0].campaign, "a");
+        assert_eq!(parsed.records[0].priority, 3);
+        assert_eq!(parsed.records[2].gen, 1);
+        assert_eq!(parsed.records[2].kind, Kind::Committed);
+        assert_eq!(json(&parsed.records[2].result), json(&Some(result("a/x"))));
+    }
+
+    #[test]
+    fn terminal_record_without_a_result_is_malformed() {
+        let text = sealed_record(
+            0,
+            vec![
+                ("record".into(), Value::Str("committed".into())),
+                ("job".into(), Value::Str("a/x".into())),
+            ],
+        );
+        let err = decode_record(&text).expect_err("a result-less commit must not replay");
+        assert!(matches!(err, ManifestError::Malformed(_)), "{err:?}");
     }
 
     #[test]
     fn torn_tail_at_every_byte_offset_is_dropped_not_an_error() {
+        let first = sealed_record(0, enqueued_record_body("a/x", "a", 0));
         let full = format!(
-            "{}{}",
-            sealed_record(0, enqueued_record_body("a/x", "a", 0)),
-            sealed_record(0, leased_record_body("a/x")),
+            "{first}{}",
+            sealed_record(0, terminal_record_body("a/x", &result("a/x"), None)),
         );
-        let first_len = sealed_record(0, enqueued_record_body("a/x", "a", 0)).len();
         for cut in 0..full.len() {
-            let (records, valid_len, torn) =
-                parse_journal(&full[..cut]).expect("a torn tail must never be an error");
-            if cut < first_len {
-                assert_eq!(records.len(), 0, "cut at {cut}");
-                assert_eq!(valid_len, 0);
-                assert_eq!(torn, cut > 0, "cut at {cut}");
+            let parsed = parse_journal(&full[..cut]);
+            assert!(
+                parsed.damage.is_none(),
+                "cut at {cut}: a torn tail is no damage"
+            );
+            if cut < first.len() {
+                assert_eq!(parsed.records.len(), 0, "cut at {cut}");
+                assert_eq!(parsed.valid_len, 0);
+                assert_eq!(parsed.torn, cut > 0, "cut at {cut}");
             } else {
-                assert_eq!(records.len(), 1, "cut at {cut}");
-                assert_eq!(valid_len, first_len);
-                assert_eq!(torn, cut > first_len, "cut at {cut}");
+                assert_eq!(parsed.records.len(), 1, "cut at {cut}");
+                assert_eq!(parsed.valid_len, first.len());
+                assert_eq!(parsed.torn, cut > first.len(), "cut at {cut}");
             }
         }
     }
 
     #[test]
-    fn mid_journal_damage_is_corruption() {
+    fn mid_journal_damage_keeps_the_sealed_prefix() {
+        let first = sealed_record(0, enqueued_record_body("a/x", "a", 0));
         let full = format!(
-            "{}{}",
-            sealed_record(0, enqueued_record_body("a/x", "a", 0)),
+            "{first}{}{}",
             sealed_record(0, leased_record_body("a/x")),
+            sealed_record(0, terminal_record_body("a/x", &result("a/x"), None)),
         );
-        // Flip a byte inside the *first* record's body.
-        let damaged = full.replacen("\"a/x\"", "\"a/y\"", 1);
+        // Flip a byte inside the *second* record's body.
+        let damaged = format!(
+            "{first}{}",
+            full[first.len()..].replacen("leased", "leasee", 1)
+        );
         assert_ne!(damaged, full);
-        let err = parse_journal(&damaged).expect_err("mid-journal damage must surface");
-        assert!(matches!(err, ManifestError::ChecksumMismatch(_)), "{err:?}");
+        let parsed = parse_journal(&damaged);
+        assert!(
+            matches!(parsed.damage, Some(ManifestError::ChecksumMismatch(_))),
+            "{:?}",
+            parsed.damage
+        );
+        assert_eq!(
+            parsed.records.len(),
+            1,
+            "the record before the damage survives"
+        );
+        assert_eq!(parsed.valid_len, first.len());
     }
 
     #[test]
@@ -2031,9 +2125,11 @@ mod tests {
         apply(&mut jobs, rec(Kind::Committed, "j"));
         // Stale records after the terminal state (post-compaction crash
         // replay) change nothing.
+        apply(&mut jobs, rec(Kind::Enqueued, "j"));
         apply(&mut jobs, rec(Kind::Leased, "j"));
         apply(&mut jobs, rec(Kind::Failed, "j"));
         assert_eq!(jobs["j"].state, State::Committed);
+        assert_eq!(json(&jobs["j"].record), json(&Some(result("j"))));
     }
 
     #[test]
@@ -2047,20 +2143,57 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trips() {
+    fn snapshot_replays_to_the_same_state_table() {
         let mut jobs = BTreeMap::new();
-        jobs.insert("a/x".to_string(), entry("a", State::Committed));
+        let mut done = entry("a", State::Committed);
+        done.record = Some(result("a/x"));
+        jobs.insert("a/x".to_string(), done);
         let mut poisoned = entry("b", State::Quarantined);
         poisoned.failures = 3;
         poisoned.error = Some("panic: boom".into());
         jobs.insert("b/y".to_string(), poisoned);
-        let body = snapshot_body(7, &jobs);
-        let (gen, back) = parse_snapshot(&body).unwrap();
-        assert_eq!(gen, 7);
-        assert_eq!(back.len(), 2);
-        assert_eq!(back["a/x"].state, State::Committed);
+        let mut retried = entry("b", State::Pending);
+        retried.priority = 2;
+        retried.failures = 1;
+        retried.error = Some(LEASE_LOST.into());
+        jobs.insert("b/z".to_string(), retried);
+        jobs.insert("c/w".to_string(), entry("c", State::Leased));
+
+        let body: String = jobs
+            .iter()
+            .flat_map(|(id, e)| compacted_records(id, e))
+            .map(|fields| sealed_record(7, fields))
+            .collect();
+        let records = parse_snapshot(&body).unwrap();
+        assert!(records.iter().all(|r| r.gen == 7));
+        let mut back = BTreeMap::new();
+        for record in records {
+            apply(&mut back, record);
+        }
+        assert_eq!(back.len(), 4);
+        for (id, e) in &jobs {
+            let b = &back[id];
+            assert_eq!(
+                (b.state, &b.campaign, b.priority, &b.error),
+                (e.state, &e.campaign, e.priority, &e.error),
+                "{id}"
+            );
+            assert_eq!(json(&b.record), json(&e.record), "{id}");
+        }
         assert_eq!(back["b/y"].failures, 3);
-        assert_eq!(back["b/y"].error.as_deref(), Some("panic: boom"));
+        assert_eq!(back["b/z"].failures, 1, "the lease-failure budget survives");
+        assert_eq!(
+            records_of(&back).len(),
+            1,
+            "only terminal results are records"
+        );
+
+        // A snapshot that does not end on a record boundary is damage.
+        let cut = &body[..body.len() - 3];
+        assert!(matches!(
+            parse_snapshot(cut),
+            Err(ManifestError::Malformed(_))
+        ));
     }
 
     fn rec(kind: Kind, job: &str) -> Record {
@@ -2070,8 +2203,9 @@ mod tests {
             job: job.to_string(),
             campaign: "c".to_string(),
             priority: 0,
-            failures: 3,
-            error: Some("x".into()),
+            failures: if kind == Kind::Quarantined { 3 } else { 0 },
+            error: (kind == Kind::Quarantined).then(|| "x".into()),
+            result: matches!(kind, Kind::Committed | Kind::Failed).then(|| result(job)),
         }
     }
 }

@@ -13,15 +13,15 @@ use ffsim_obs::{Phase, PhaseProfiler};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Renders the manifest-quarantine banner: one line per damaged manifest
-/// or shard. Empty (so clean runs stay byte-identical to their golden
-/// copies) when nothing was quarantined.
+/// Renders the journal-recovery banner: one line per damaged journal or
+/// snapshot quarantined at startup. Empty (so clean runs stay
+/// byte-identical to their golden copies) when nothing was quarantined.
 #[must_use]
 pub fn render_quarantines(quarantines: &[Quarantine]) -> String {
     if quarantines.is_empty() {
         return String::new();
     }
-    let mut out = String::from("\nmanifest recovery\n\n");
+    let mut out = String::from("\njournal recovery\n\n");
     for quarantine in quarantines {
         let _ = writeln!(out, "  {quarantine}");
     }
@@ -297,7 +297,7 @@ pub fn render_timing(records: &BTreeMap<String, JobRecord>) -> String {
 /// [`CpiStack`](ffsim_core::CpiStack) (campaigns run with telemetry
 /// enabled). Memory-bound classes collapse into one `mem_bound` column and
 /// the three window-full classes into `window`, so the table stays
-/// readable; the full breakdown lives in the manifest's `cpi` key.
+/// readable; the full breakdown lives in the journal record's `cpi` key.
 /// Returns the empty string when no record has a stack.
 ///
 /// Cycle attribution is deterministic, but the appendix is opt-in like

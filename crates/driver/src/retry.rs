@@ -10,7 +10,7 @@ use std::time::Duration;
 /// Backoff grows exponentially from [`base_backoff`](RetryPolicy::base_backoff)
 /// and is capped at [`max_backoff`](RetryPolicy::max_backoff). Jitter is
 /// *deterministic*: it is derived by hashing the job id and attempt number,
-/// so a campaign's manifest (which records the backoff applied to each
+/// so a campaign's journal (which records the backoff applied to each
 /// attempt) is byte-identical across runs and worker counts.
 #[derive(Clone, Copy, Debug)]
 pub struct RetryPolicy {

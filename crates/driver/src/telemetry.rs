@@ -4,15 +4,15 @@
 //! Telemetry is **off by default** and is enabled by the same switch as
 //! every other observability feature (`FFSIM_OBS`, see
 //! [`ffsim_obs::ENV_VAR`]), or explicitly through [`TelemetryConfig`].
-//! Heartbeats go to **stderr only** — stdout artifacts (reports,
-//! manifests) stay byte-deterministic whatever the telemetry setting.
+//! Heartbeats go to **stderr only** — stdout artifacts (reports) stay
+//! byte-deterministic whatever the telemetry setting.
 //!
 //! The counters in [`Telemetry`] are plain atomics: workers bump them on
 //! the job lifecycle edges (dequeue, retry, finish) and the heartbeat
 //! thread renders a snapshot every [`TelemetryConfig::heartbeat`]. A
 //! snapshot may be torn across counters (a job can move from `running` to
 //! `done` between two loads) — heartbeats are progress indication, not an
-//! audit log, and the manifest remains the source of truth.
+//! audit log, and the queue journal remains the source of truth.
 
 use crate::job::{JobRecord, JobStatus};
 use ffsim_core::WrongPathMode;

@@ -364,19 +364,25 @@ fn torn_journal_tail_is_dropped_and_resume_is_byte_identical() {
 }
 
 #[test]
-fn mid_journal_corruption_quarantines_but_results_survive() {
+fn mid_journal_corruption_keeps_the_sealed_prefix_and_reruns_the_rest() {
     let reference = reference_report("queue_reference_corrupt");
     let dir = tmp_dir("queue_corrupt");
     let queue = open_with_standard_jobs(qcfg(&dir));
     queue.drain().expect("drain");
     drop(queue);
 
-    // Flip bytes inside the FIRST record: damage before the tail is
-    // corruption, not a torn append.
+    // Flip a byte inside the SECOND commit record: damage before the tail
+    // is corruption, not a torn append. One worker commits in a fixed
+    // order, so exactly one result precedes the damage.
     let journal = dir.join("queue.journal");
     let text = std::fs::read_to_string(&journal).expect("journal exists");
-    let damaged = text.replacen("alpha", "XXXXX", 1);
-    assert_ne!(damaged, text);
+    let second_commit = text
+        .match_indices("\"committed\"")
+        .nth(1)
+        .expect("four commits")
+        .0;
+    let mut damaged = text.clone();
+    damaged.replace_range(second_commit + 1..second_commit + 2, "C");
     std::fs::write(&journal, &damaged).expect("damage the journal");
 
     let queue = JobQueue::open(qcfg(&dir)).expect("reopen");
@@ -385,23 +391,36 @@ fn mid_journal_corruption_quarantines_but_results_survive() {
         1,
         "the journal is quarantined as evidence"
     );
-    assert!(dir.join("queue.corrupt").exists());
+    assert!(dir.join("queue.journal.corrupt").exists());
+    assert_eq!(
+        queue.merged_records().len(),
+        1,
+        "the sealed prefix survives"
+    );
     queue
         .register(&CampaignSpec::new("alpha"))
         .expect("register");
     queue
         .register(&CampaignSpec::new("beta"))
         .expect("register");
+    let mut complete = 0;
     for (campaign, j) in standard_jobs() {
-        assert_eq!(
-            queue.enqueue(campaign, j).expect("enqueue"),
-            Enqueued::AlreadyComplete,
-            "results live in the shards, not the journal"
-        );
+        match queue.enqueue(campaign, j).expect("enqueue") {
+            Enqueued::AlreadyComplete => complete += 1,
+            Enqueued::Accepted => {}
+            Enqueued::Poisoned => panic!("nothing was poisoned"),
+        }
     }
+    assert_eq!(complete, 1, "only results before the damage are kept");
     let outcome = queue.drain().expect("drain");
-    assert_eq!(outcome.executed, 0);
+    assert_eq!(outcome.executed, 3, "results after the damage re-run");
     assert_eq!(report::render(&outcome.records), reference);
+    drop(queue);
+
+    // The recovery compacted the survivors: the next open is clean.
+    let queue = JobQueue::open(qcfg(&dir)).expect("clean reopen");
+    assert!(queue.recovery().quarantines.is_empty());
+    assert_eq!(report::render(&queue.merged_records()), reference);
 }
 
 #[test]

@@ -3,7 +3,8 @@
 
 use ffsim_core::WrongPathMode;
 use ffsim_driver::{
-    AttemptOutcome, Campaign, CampaignConfig, Job, JobStatus, RetryPolicy, WorkloadFn,
+    AttemptOutcome, Campaign, CampaignConfig, Job, JobQueue, JobStatus, QueueConfig, RetryPolicy,
+    WorkloadFn,
 };
 use ffsim_emu::{FaultPolicy, Memory};
 use ffsim_isa::{Asm, Program, Reg};
@@ -77,16 +78,15 @@ fn fast_config() -> CampaignConfig {
             max_backoff: Duration::ZERO,
         },
         default_timeout: Some(Duration::from_secs(60)),
-        manifest_path: None,
         telemetry: ffsim_driver::TelemetryConfig::default(),
         ..CampaignConfig::default()
     }
 }
 
-fn tmp_path(name: &str) -> PathBuf {
+fn tmp_dir(name: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
-    std::fs::create_dir_all(&dir).expect("create test dir");
-    dir.join("manifest.json")
+    std::fs::remove_dir_all(&dir).ok();
+    dir
 }
 
 #[test]
@@ -267,26 +267,31 @@ fn determinism_jobs() -> Vec<Job> {
 }
 
 #[test]
-fn manifest_and_report_are_identical_across_worker_counts() {
+fn durable_records_and_report_are_identical_across_worker_counts() {
     let mut outputs = Vec::new();
     for workers in [1usize, 8] {
-        let path = tmp_path(&format!("determinism-w{workers}"));
-        std::fs::remove_file(&path).ok();
+        let dir = tmp_dir(&format!("determinism-w{workers}"));
         let cfg = CampaignConfig {
             workers,
-            manifest_path: Some(path.clone()),
+            dir: Some(dir.clone()),
             ..fast_config()
         };
         let outcome = Campaign::new(cfg)
             .run(determinism_jobs())
             .expect("campaign runs");
-        let manifest = std::fs::read_to_string(&path).expect("manifest written");
+        // What a later process reads back from the journal.
+        let durable: Vec<String> = JobQueue::open(QueueConfig::new(&dir))
+            .expect("journal reopens")
+            .merged_records()
+            .values()
+            .map(|r| r.to_value().to_json())
+            .collect();
         let report = ffsim_driver::report::render(&outcome.records);
-        outputs.push((manifest, report));
+        outputs.push((durable, report));
     }
     assert_eq!(
         outputs[0].0, outputs[1].0,
-        "manifests differ across worker counts"
+        "durable records differ across worker counts"
     );
     assert_eq!(
         outputs[0].1, outputs[1].1,
@@ -296,10 +301,8 @@ fn manifest_and_report_are_identical_across_worker_counts() {
 
 #[test]
 fn resume_skips_recorded_jobs_and_runs_only_the_rest() {
-    let path = tmp_path("resume");
-    std::fs::remove_file(&path).ok();
     let cfg = CampaignConfig {
-        manifest_path: Some(path.clone()),
+        dir: Some(tmp_dir("resume")),
         ..fast_config()
     };
 
@@ -343,17 +346,15 @@ fn resume_skips_recorded_jobs_and_runs_only_the_rest() {
 }
 
 #[test]
-fn corrupt_manifest_is_quarantined_and_the_campaign_completes() {
-    let path = tmp_path("corrupt-recovery");
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_file(path.with_extension("corrupt")).ok();
+fn damaged_journal_is_quarantined_and_the_campaign_completes() {
+    let dir = tmp_dir("corrupt-recovery");
     let cfg = CampaignConfig {
-        manifest_path: Some(path.clone()),
+        dir: Some(dir.clone()),
         ..fast_config()
     };
 
-    // First run populates a healthy manifest; then damage it by cutting
-    // the file mid-body, as a torn write would.
+    // First run populates a healthy journal; then flip a byte inside its
+    // first record, as bit rot would.
     let first = Campaign::new(cfg.clone())
         .run(vec![tiny_job(
             "a",
@@ -363,18 +364,24 @@ fn corrupt_manifest_is_quarantined_and_the_campaign_completes() {
         .expect("first campaign runs");
     assert_eq!(first.executed, 1);
     assert!(first.quarantines.is_empty());
-    let healthy = std::fs::read_to_string(&path).expect("manifest written");
-    std::fs::write(&path, &healthy[..healthy.len() / 2]).expect("truncate manifest");
+    let journal = dir.join("queue.journal");
+    let healthy = std::fs::read_to_string(&journal).expect("journal written");
+    let damaged = healthy.replacen("enqueued", "enqueuex", 1);
+    assert_ne!(damaged, healthy);
+    std::fs::write(&journal, damaged).expect("damage journal");
 
-    // The resumed campaign must not panic and must not trust the torn
-    // file: it quarantines, re-runs everything, and completes.
+    // The resumed campaign must not panic and must not trust records
+    // after the damage: it quarantines, re-runs them, and completes.
     let second = Campaign::new(cfg.clone())
         .run(vec![
             tiny_job("a", WrongPathMode::ConvergenceExploitation, countdown_div),
             tiny_job("b", WrongPathMode::NoWrongPath, countdown_div),
         ])
-        .expect("corrupt manifest must not abort the campaign");
-    assert_eq!(second.resumed, 0, "torn records must not be trusted");
+        .expect("a damaged journal must not abort the campaign");
+    assert_eq!(
+        second.resumed, 0,
+        "records after the damage are not trusted"
+    );
     assert_eq!(second.executed, 2);
     let [quarantine] = &second.quarantines[..] else {
         panic!(
@@ -383,13 +390,16 @@ fn corrupt_manifest_is_quarantined_and_the_campaign_completes() {
         );
     };
     assert!(
-        matches!(quarantine.error, ffsim_driver::ManifestError::Truncated(_)),
+        matches!(
+            quarantine.error,
+            ffsim_driver::ManifestError::ChecksumMismatch(_)
+        ),
         "{:?}",
         quarantine.error
     );
     assert!(quarantine.quarantined_to.exists(), "evidence preserved");
 
-    // Third run resumes from the rewritten manifest as if nothing
+    // Third run resumes from the compacted, healthy log as if nothing
     // happened.
     let third = Campaign::new(cfg)
         .run(vec![

@@ -296,12 +296,16 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (the input is a &str, so slicing
-                // on char boundaries is safe via the chars iterator).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run of plain characters up to the next quote or
+                // escape. Both are ASCII, which never occurs inside a
+                // multi-byte UTF-8 sequence, so the run of the (valid
+                // UTF-8) input ends on a char boundary; validating only
+                // the run keeps the parse linear in the document size.
+                let start = *pos;
+                while !matches!(bytes.get(*pos), None | Some(b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                out.push_str(std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?);
             }
         }
     }
@@ -324,6 +328,27 @@ mod tests {
         ]);
         let text = v.to_json();
         assert_eq!(parse(&text).unwrap(), v);
+    }
+
+    #[test]
+    fn non_ascii_strings_round_trip_with_escapes() {
+        let strings = [
+            "é",
+            "🦀",
+            "caf\u{e9} \"🦀\"\\path\n\ttab",
+            "\u{1}\u{1f}ctl🦀é\r",
+            "ascii only",
+            "",
+        ];
+        for text in strings {
+            let v = Value::Obj(vec![(text.into(), Value::Str(text.into()))]);
+            let json = v.to_json();
+            assert_eq!(parse(&json).unwrap(), v, "{json}");
+        }
+        // Escapes written by hand, including `\u00xx` controls, decode
+        // next to raw multi-byte characters.
+        let parsed = parse("\"\\u00e9é\\u0001🦀\\\"\"").unwrap();
+        assert_eq!(parsed, Value::Str("éé\u{1}🦀\"".into()));
     }
 
     #[test]

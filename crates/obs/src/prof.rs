@@ -50,8 +50,6 @@ pub enum Phase {
     FrontendFetch,
     /// Driver result-cache lookups, verification and stores.
     CacheIo,
-    /// Driver manifest / shard commit IO.
-    ManifestIo,
     /// Driver queue journal appends, lease bookkeeping and compaction.
     QueueJournal,
     /// Campaign-server request handling: frame decode, queue mapping,
@@ -60,7 +58,7 @@ pub enum Phase {
 }
 
 /// Number of phases in the taxonomy.
-pub const PHASE_COUNT: usize = 10;
+pub const PHASE_COUNT: usize = 9;
 
 impl Phase {
     /// Every phase, in rendering order.
@@ -72,7 +70,6 @@ impl Phase {
         Phase::TechniqueHook,
         Phase::FrontendFetch,
         Phase::CacheIo,
-        Phase::ManifestIo,
         Phase::QueueJournal,
         Phase::ServeRequest,
     ];
@@ -89,7 +86,6 @@ impl Phase {
             Phase::TechniqueHook => "technique_hook",
             Phase::FrontendFetch => "frontend_fetch",
             Phase::CacheIo => "cache_io",
-            Phase::ManifestIo => "manifest_io",
             Phase::QueueJournal => "queue_journal",
             Phase::ServeRequest => "serve_request",
         }

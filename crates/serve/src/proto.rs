@@ -11,7 +11,7 @@
 //! ```
 //!
 //! The checksum covers the payload with the same FNV-1a hash the
-//! manifest seals use, so a frame damaged anywhere surfaces as a typed
+//! journal seals use, so a frame damaged anywhere surfaces as a typed
 //! [`FrameError`] — and a connection that dies mid-frame surfaces as
 //! [`FrameError::Torn`], the transport twin of the queue journal's torn
 //! tail. Whole frames are written with a single `write_all`, so an
