@@ -4,9 +4,8 @@
 //! budget component by component.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use ffsim_core::{
-    reconstruct, recover_addresses, CodeCache, ConvergenceConfig, ConvergenceStats, Pipeline,
-};
+use ffsim_core::technique::wrongpath::{recover_addresses_from, FutureWindow};
+use ffsim_core::{reconstruct, CodeCache, ConvergenceConfig, ConvergenceStats, Pipeline};
 use ffsim_emu::{Emulator, FollowComputed, InstrQueue, NoFrontendWrongPath};
 use ffsim_isa::{Asm, BranchCond, Instr, Reg};
 use ffsim_obs::{MetricsRegistry, ObsConfig, Phase, TraceEvent, TraceEventKind, TraceSource};
@@ -132,18 +131,32 @@ fn wrongpath_rate(c: &mut Criterion) {
     let mut group = c.benchmark_group("wrongpath");
     let cfg = CoreConfig::golden_cove_like();
     let program = loop_program(1000);
-    // Pre-populate the code cache and collect a future window.
+    // Pre-populate the code cache and train the predictor on the loop
+    // branch, so reconstruction walks the loop for the full budget rather
+    // than stopping at the `halt` an untrained not-taken prediction
+    // reaches. The future window is the runahead buffer of a queue over
+    // the same program, scanned in place as the convergence technique
+    // does.
     let mut code_cache = CodeCache::unbounded();
-    let mut future = Vec::new();
+    let mut predictor = BranchPredictor::new(cfg.branch);
     let mut emu = Emulator::new(program.clone()).unwrap();
     while let Ok(inst) = emu.step() {
         code_cache.insert(inst.pc, inst.instr);
-        if future.len() < 512 {
-            future.push(inst);
+        if let Some(outcome) = inst.branch {
+            predictor.observe(inst.pc, &inst.instr, outcome.taken, outcome.next_pc);
         }
     }
-    let predictor = BranchPredictor::new(cfg.branch);
+    let mut queue = InstrQueue::new(
+        Emulator::new(program.clone()).unwrap(),
+        NoFrontendWrongPath,
+        cfg.queue_depth,
+    );
     let start = program.base() + 8;
+    assert_eq!(
+        reconstruct(&mut code_cache, &predictor, start, 572).len(),
+        572,
+        "reconstruction must fill the budget"
+    );
     group.throughput(Throughput::Elements(572));
     group.bench_function("reconstruct_572", |b| {
         b.iter(|| reconstruct(&mut code_cache, &predictor, start, 572).len());
@@ -151,8 +164,15 @@ fn wrongpath_rate(c: &mut Criterion) {
     group.bench_function("reconstruct_plus_recover", |b| {
         b.iter(|| {
             let mut wp = reconstruct(&mut code_cache, &predictor, start, 572);
+            let (front, back) = queue.peek_window(cfg.rob_size);
+            let mut future = FutureWindow::new([&[], front, back], cfg.rob_size);
             let mut stats = ConvergenceStats::default();
-            recover_addresses(&mut wp, &future, &ConvergenceConfig::default(), &mut stats);
+            recover_addresses_from(
+                &mut wp,
+                &mut future,
+                &ConvergenceConfig::default(),
+                &mut stats,
+            );
             stats.converged
         });
     });

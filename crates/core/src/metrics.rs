@@ -23,10 +23,12 @@ pub struct ObsReport {
     /// Events evicted from the bounded rings during the run.
     pub dropped_events: u64,
     /// Wrong-path instructions injected per misprediction episode
-    /// (compare to the paper's Table III wrong-path footprints).
+    /// (compare to the paper's Table III wrong-path footprints): one
+    /// sample per misprediction after warmup.
     pub wp_episode_len: Log2Hist,
     /// Instructions scanned before the wrong path converged with the
-    /// future correct path (convergence-exploitation mode only).
+    /// future correct path (convergence-exploitation mode only): one
+    /// sample per converged misprediction after warmup.
     pub conv_distance: Log2Hist,
     /// Host-phase wall-time attribution for the run (enabled when
     /// [`ObsConfig::profile`](ffsim_obs::ObsConfig) is set; an inert

@@ -459,9 +459,9 @@ impl Simulator {
                 self.technique.on_mispredict(&mut cx);
                 self.prof.exit();
 
+                let injected = self.pipeline.wrong_path_injected() - wp_before;
+                self.wp_episode_hist.record(injected);
                 if self.trace.is_enabled() {
-                    let injected = self.pipeline.wrong_path_injected() - wp_before;
-                    self.wp_episode_hist.record(injected);
                     if injected > 0 {
                         // The wrong-path episode spans branch fetch to
                         // resolution, rendered as a B/E duration pair.

@@ -6,7 +6,7 @@ use crate::technique::code_cache::CodeCache;
 use crate::technique::mode::WrongPathMode;
 use crate::technique::wrongpath::{
     reconstruct_into, recover_addresses_from, ConvergenceConfig, ConvergenceStats, FutureSource,
-    WpInst,
+    FutureWindow, WpInst,
 };
 use crate::technique::{
     inject_wrong_path, passive_frontend, MispredictContext, TechniqueStats, WrongPathTechnique,
@@ -27,8 +27,6 @@ pub struct ConvergenceTechnique {
     stats: ConvergenceStats,
     /// Convergence distances (observability histogram).
     dist_hist: Log2Hist,
-    /// Reusable buffer for peeked future correct-path instructions.
-    future_buf: Vec<DynInst>,
     /// Reusable buffer for the reconstructed wrong path.
     wp_buf: Vec<WpInst>,
 }
@@ -48,37 +46,26 @@ impl ConvergenceTechnique {
             rob: cfg.core.rob_size,
             stats: ConvergenceStats::default(),
             dist_hist: Log2Hist::new(),
-            future_buf: Vec::new(),
             wp_buf: Vec::new(),
         }
     }
 }
 
-/// Serves the future correct-path window on demand from the mispredict
-/// context's peek window, materializing entries into the technique's
-/// reusable buffer only as deep as the convergence scan actually looks.
-/// Maintains [`FutureSource`]'s contiguous-prefix contract: the buffer is
-/// a prefix of the peek window, and once a peek returns `None` every
-/// deeper index is `None` too.
-struct LazyFuture<'a, 'b> {
-    buf: &'a mut Vec<DynInst>,
+/// The future correct-path window read entry by entry through
+/// [`MispredictContext::peek_ahead`], for frontends that cannot lend their
+/// runahead buffer ([`FetchSource::peek_window`] returns `None`, as a
+/// forwarding decorator's does). Entries are borrowed, never copied.
+struct PeekFuture<'a, 'b> {
     cx: &'a mut MispredictContext<'b>,
     limit: usize,
-    exhausted: bool,
 }
 
-impl FutureSource for LazyFuture<'_, '_> {
+impl FutureSource for PeekFuture<'_, '_> {
     fn at(&mut self, i: usize) -> Option<&DynInst> {
         if i >= self.limit {
             return None;
         }
-        while self.buf.len() <= i && !self.exhausted {
-            match self.cx.peek_ahead(self.buf.len()) {
-                Some(e) => self.buf.push(e.inst),
-                None => self.exhausted = true,
-            }
-        }
-        self.buf.get(i)
+        self.cx.peek_ahead(i).map(|e| &e.inst)
     }
 }
 
@@ -99,48 +86,46 @@ impl WrongPathTechnique for ConvergenceTechnique {
         let Some(start) = cx.wrong_path_start else {
             return;
         };
-        let mut wp_buf = std::mem::take(&mut self.wp_buf);
         reconstruct_into(
             &mut self.code_cache,
             cx.predictor,
             start,
             self.budget,
-            &mut wp_buf,
+            &mut self.wp_buf,
         );
-        self.wp_buf = wp_buf;
         // Peek the future correct path out of the runahead queue (§III-C:
         // "take a peek in the future correct-path instructions"). The
-        // batched handoff serves the peek window from the batch tail first,
-        // then the frontend's runahead buffer — lazily, so a scan that
-        // converges after a handful of instructions never copies the full
-        // ROB-sized window.
-        self.future_buf.clear();
-        let convergence_distance = {
-            let mut future = LazyFuture {
-                buf: &mut self.future_buf,
-                cx: &mut *cx,
-                limit: self.rob,
-                exhausted: false,
-            };
-            recover_addresses_from(
+        // window is the batch tail followed by the frontend's runahead
+        // buffer, scanned in place and bounded by the ROB.
+        let limit = self.rob.min(cx.peek_cap);
+        let head = cx.lookahead;
+        let convergence_distance = match cx.frontend.peek_window(limit.saturating_sub(head.len())) {
+            Some((front, back)) => recover_addresses_from(
                 &mut self.wp_buf,
-                &mut future,
+                &mut FutureWindow::new([head, front, back], limit),
                 &self.convergence,
                 &mut self.stats,
-            )
+            ),
+            None => recover_addresses_from(
+                &mut self.wp_buf,
+                &mut PeekFuture {
+                    cx: &mut *cx,
+                    limit,
+                },
+                &self.convergence,
+                &mut self.stats,
+            ),
         };
-        if cx.trace.is_enabled() {
-            if let Some(distance) = convergence_distance {
-                self.dist_hist.record(distance as u64);
-                let resolve = cx.resolve;
-                cx.trace.record(|| TraceEvent {
-                    ts: resolve,
-                    source: TraceSource::Timing,
-                    kind: TraceEventKind::ConvergenceHit {
-                        distance: distance as u64,
-                    },
-                });
-            }
+        if let Some(distance) = convergence_distance {
+            self.dist_hist.record(distance as u64);
+            let resolve = cx.resolve;
+            cx.trace.record(|| TraceEvent {
+                ts: resolve,
+                source: TraceSource::Timing,
+                kind: TraceEventKind::ConvergenceHit {
+                    distance: distance as u64,
+                },
+            });
         }
         let wp = std::mem::take(&mut self.wp_buf);
         let budget = self.budget;
@@ -173,5 +158,100 @@ impl WrongPathTechnique for ConvergenceTechnique {
 
     fn conv_distance(&self) -> Log2Hist {
         self.dist_hist
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::sim::{SimConfig, Simulator};
+    use crate::technique::mode::WrongPathMode;
+    use ffsim_emu::Memory;
+    use ffsim_isa::{Asm, Program, Reg};
+    use ffsim_obs::ObsConfig;
+    use ffsim_uarch::CoreConfig;
+
+    /// Length of the hammock's then-block.
+    const THEN_LEN: usize = 4;
+
+    /// A loop around a one-sided if-then hammock: a pseudo-random bit
+    /// (an LCG step) decides whether the `THEN_LEN`-instruction,
+    /// branch-free then-block runs. Whichever way the hammock branch
+    /// mispredicts, one path is the other plus the then-block, so the
+    /// paths converge exactly `THEN_LEN` instructions in: on the wrong
+    /// side when the then-block is wrongly fetched, on the future side
+    /// when it is wrongly skipped. Ten instructions separate the join
+    /// point from the next then-block, so no earlier match exists.
+    fn hammock_loop(trips: i64) -> Program {
+        let (n, state, mul, inc, bit, acc, pad) = (
+            Reg::new(1),
+            Reg::new(2),
+            Reg::new(3),
+            Reg::new(4),
+            Reg::new(5),
+            Reg::new(6),
+            Reg::new(7),
+        );
+        let mut a = Asm::new();
+        a.li(n, trips);
+        a.li(state, 12345);
+        a.li(mul, 6_364_136_223_846_793_005);
+        a.li(inc, 1_442_695_040_888_963_407);
+        a.label("loop");
+        a.mul(state, state, mul);
+        a.add(state, state, inc);
+        a.srli(bit, state, 33);
+        a.andi(bit, bit, 1);
+        a.beqz(bit, "join");
+        for _ in 0..THEN_LEN {
+            a.addi(acc, acc, 1);
+        }
+        a.label("join");
+        a.addi(pad, pad, 1);
+        a.addi(pad, pad, 1);
+        a.addi(n, n, -1);
+        a.bnez(n, "loop");
+        a.halt();
+        a.assemble().expect("hammock loop assembles")
+    }
+
+    fn conv_run(obs: ObsConfig) -> crate::SimResult {
+        let mut cfg = SimConfig::with_core(
+            CoreConfig::tiny_for_tests(),
+            WrongPathMode::ConvergenceExploitation,
+        );
+        cfg.warmup_instructions = 2_000;
+        cfg.obs = obs;
+        Simulator::new(hammock_loop(1_500), Memory::new(), cfg)
+            .expect("valid config")
+            .run()
+            .expect("hammock loop runs")
+    }
+
+    #[test]
+    fn hammock_converges_at_the_then_block_length() {
+        let c = conv_run(ObsConfig::disabled()).convergence;
+        assert!(c.converged > 100, "too few converged misses: {c:?}");
+        assert_eq!(
+            c.distance_sum,
+            THEN_LEN as u64 * c.converged,
+            "every converged miss must join after the then-block: {c:?}"
+        );
+        assert!(c.conv_frac() >= 0.9, "conv frac {}: {c:?}", c.conv_frac());
+    }
+
+    #[test]
+    fn profiled_run_fills_the_episode_and_distance_histograms() {
+        let r = conv_run(ObsConfig::profiled());
+        let obs = r.obs.as_ref().expect("a profiled run carries an ObsReport");
+        assert!(obs.events.is_empty(), "profiling alone records no events");
+        assert!(r.convergence.converged > 0);
+        assert_eq!(obs.conv_distance.count(), r.convergence.converged);
+        assert_eq!(
+            obs.conv_distance.sum(),
+            r.convergence.distance_sum,
+            "one distance sample per converged miss"
+        );
+        assert_eq!(obs.wp_episode_len.count(), r.branch.mispredicts());
+        assert_eq!(obs.wp_episode_len.sum(), r.wrong_path_instructions);
     }
 }

@@ -15,7 +15,7 @@
 //! ("dirty registers"), to avoid the optimism pitfall of §III-C.
 
 use crate::technique::code_cache::{CodeCache, RunEnd, RUN_CAP};
-use ffsim_emu::{DynInst, MemAccess};
+use ffsim_emu::{DynInst, MemAccess, StreamEntry};
 use ffsim_isa::{Addr, Instr, RegSet, INSTR_BYTES};
 use ffsim_uarch::BranchPredictor;
 
@@ -319,10 +319,11 @@ fn written_regs<'a>(instrs: impl Iterator<Item = &'a Instr>) -> RegSet {
 ///
 /// The window is always a contiguous prefix: once `at(i)` returns `None`,
 /// every larger index is `None` too. Abstracting the access lets the
-/// convergence technique serve the window lazily out of the frontend's
-/// runahead buffer — materializing only the entries the scans actually
-/// visit — while tests and the equivalence oracle keep passing plain
-/// slices. The recovery logic is identical either way.
+/// convergence technique scan the window in place — the batch tail and
+/// the frontend's runahead buffer ([`FutureWindow`]), or per-entry peeks
+/// when the frontend cannot lend its buffer — while tests and the
+/// equivalence oracle keep passing plain slices. The recovery logic is
+/// identical either way.
 pub trait FutureSource {
     /// The `i`th future correct-path instruction, if the window reaches
     /// that deep.
@@ -332,6 +333,44 @@ pub trait FutureSource {
 impl FutureSource for &[DynInst] {
     fn at(&mut self, i: usize) -> Option<&DynInst> {
         self.get(i)
+    }
+}
+
+/// The future correct-path window borrowed in place: up to three
+/// [`StreamEntry`] segments read back to back — typically the unconsumed
+/// tail of the handoff batch, then the two halves of the frontend's
+/// runahead ring buffer ([`FetchSource::peek_window`]) — so the
+/// convergence scan neither copies entries nor makes a call per entry.
+///
+/// [`FetchSource::peek_window`]: ffsim_emu::FetchSource::peek_window
+#[derive(Clone, Copy, Debug)]
+pub struct FutureWindow<'a> {
+    segments: [&'a [StreamEntry]; 3],
+}
+
+impl<'a> FutureWindow<'a> {
+    /// Joins `segments` in order, keeping at most `limit` entries in total.
+    #[must_use]
+    pub fn new(segments: [&'a [StreamEntry]; 3], limit: usize) -> FutureWindow<'a> {
+        let mut left = limit;
+        let segments = segments.map(|seg| {
+            let seg = &seg[..seg.len().min(left)];
+            left -= seg.len();
+            seg
+        });
+        FutureWindow { segments }
+    }
+}
+
+impl FutureSource for FutureWindow<'_> {
+    fn at(&mut self, mut i: usize) -> Option<&DynInst> {
+        for seg in self.segments {
+            match seg.get(i) {
+                Some(e) => return Some(&e.inst),
+                None => i -= seg.len(),
+            }
+        }
+        None
     }
 }
 
@@ -433,7 +472,7 @@ pub fn recover_addresses(
 }
 
 /// [`recover_addresses`] against an abstract [`FutureSource`], so the
-/// convergence technique can serve the window lazily from the frontend's
+/// convergence technique can scan the window in place in the frontend's
 /// runahead buffer. Behavior — matching, dirty-register tracking, and
 /// every statistic — is identical to the slice version.
 pub fn recover_addresses_from<F: FutureSource + ?Sized>(

@@ -2,12 +2,17 @@
 //! techniques: timestamp ordering, window invariants, reconstruction
 //! chain integrity, recovery soundness, and simulator determinism.
 
+use ffsim_core::technique::ConvergenceTechnique;
 use ffsim_core::{
-    reconstruct, recover_addresses, CodeCache, ConvergenceConfig, ConvergenceStats, ObsConfig,
-    Pipeline, SimConfig, Simulator, WpInst, WrongPathMode,
+    reconstruct, recover_addresses, CancelCause, CodeCache, ConvergenceConfig, ConvergenceStats,
+    FetchSource, MispredictContext, ObsConfig, Pipeline, SimConfig, Simulator, TechniqueStats,
+    WpInst, WrongPathMode, WrongPathTechnique,
 };
-use ffsim_emu::{DynInst, MemAccess, Memory};
+use ffsim_emu::{
+    DynInst, Emulator, Fault, MemAccess, Memory, StreamBuf, StreamEntry, WrongPathFaultStats,
+};
 use ffsim_isa::{AluOp, Instr, MemWidth, Program, Reg, INSTR_BYTES};
+use ffsim_obs::{Log2Hist, ProfHandle, TraceEvent};
 use ffsim_uarch::{BranchPredictor, CoreConfig};
 use proptest::prelude::*;
 
@@ -61,6 +66,88 @@ fn mem_of(instr: &Instr) -> Option<MemAccess> {
             is_store: true,
         }),
         _ => None,
+    }
+}
+
+/// Forwards every [`FetchSource`] call except `peek_window`, whose default
+/// (`None`) sends conv's convergence scan down its per-entry `peek`
+/// fallback instead of the borrowed-slice window.
+#[derive(Debug)]
+struct WithoutPeekWindow(Box<dyn FetchSource>);
+
+impl FetchSource for WithoutPeekWindow {
+    fn pop(&mut self) -> Option<StreamEntry> {
+        self.0.pop()
+    }
+    fn fill(&mut self, buf: &mut StreamBuf, max: usize) -> usize {
+        self.0.fill(buf, max)
+    }
+    fn peek(&mut self, index: usize) -> Option<&StreamEntry> {
+        self.0.peek(index)
+    }
+    fn fault(&self) -> Option<Fault> {
+        self.0.fault()
+    }
+    fn fault_was_wrong_path(&self) -> bool {
+        self.0.fault_was_wrong_path()
+    }
+    fn fault_stats(&self) -> WrongPathFaultStats {
+        self.0.fault_stats()
+    }
+    fn cancelled(&self) -> Option<CancelCause> {
+        self.0.cancelled()
+    }
+    fn emulator(&self) -> &Emulator {
+        self.0.emulator()
+    }
+    fn take_trace(&mut self) -> Vec<TraceEvent> {
+        self.0.take_trace()
+    }
+    fn trace_dropped(&self) -> u64 {
+        self.0.trace_dropped()
+    }
+    fn install_profiler(&mut self, prof: ProfHandle) {
+        self.0.install_profiler(prof);
+    }
+}
+
+/// The convergence technique over a [`WithoutPeekWindow`] frontend.
+#[derive(Debug)]
+struct ConvOverPeeks(ConvergenceTechnique);
+
+impl WrongPathTechnique for ConvOverPeeks {
+    fn mode(&self) -> WrongPathMode {
+        self.0.mode()
+    }
+    fn build_frontend(&self, emu: Emulator, cfg: &SimConfig) -> Box<dyn FetchSource> {
+        Box::new(WithoutPeekWindow(self.0.build_frontend(emu, cfg)))
+    }
+    fn on_instruction(&mut self, inst: &DynInst) {
+        self.0.on_instruction(inst);
+    }
+    fn on_mispredict(&mut self, cx: &mut MispredictContext<'_>) {
+        self.0.on_mispredict(cx);
+    }
+    fn inject_wrong_path(
+        &mut self,
+        pipeline: &mut Pipeline,
+        wp: &[WpInst],
+        resolve: u64,
+        budget: usize,
+    ) {
+        self.0.inject_wrong_path(pipeline, wp, resolve, budget);
+    }
+    fn on_resolve(&mut self, resolve: u64) {
+        self.0.on_resolve(resolve);
+    }
+    fn stats(&self) -> TechniqueStats {
+        self.0.stats()
+    }
+    fn reset_stats(&mut self) {
+        self.0.reset_stats();
+    }
+    fn conv_distance(&self) -> Log2Hist {
+        self.0.conv_distance()
     }
 }
 
@@ -288,6 +375,68 @@ proptest! {
             prop_assert_eq!(per_instr.state_digest, batched.state_digest);
             prop_assert_eq!(per_instr.cpi.total(), batched.cpi.total());
         }
+    }
+
+    /// Conv's convergence scan reads the future window either in place
+    /// (`FetchSource::peek_window`) or, when the frontend cannot lend its
+    /// buffer, through per-entry peeks. Both must simulate bit-identically
+    /// at every handoff batch size, on loops holding a data-dependent
+    /// forward branch so wrong paths converge mid-window.
+    #[test]
+    fn conv_peek_fallback_matches_the_window_scan(
+        head in proptest::collection::vec(arb_instr(), 1..20),
+        then in proptest::collection::vec(arb_instr(), 0..12),
+        cond in arb_reg(),
+        trip in 1i64..60,
+        batch in prop_oneof![Just(1usize), Just(16), Just(64), Just(256)],
+    ) {
+        let base = 0x1000u64;
+        let mut instrs = vec![
+            Instr::LoadImm { rd: Reg::new(31), imm: trip },
+            Instr::LoadImm { rd: Reg::new(30), imm: 0x10_0000 },
+        ];
+        let loop_start = base + instrs.len() as u64 * INSTR_BYTES;
+        instrs.extend(head.iter().copied());
+        let join = base + (instrs.len() + 1 + then.len()) as u64 * INSTR_BYTES;
+        instrs.push(Instr::Branch {
+            cond: ffsim_isa::BranchCond::Ne,
+            rs1: cond,
+            rs2: Reg::ZERO,
+            target: join,
+        });
+        instrs.extend(then.iter().copied());
+        instrs.push(Instr::AluImm { op: AluOp::Add, rd: Reg::new(31), rs1: Reg::new(31), imm: -1 });
+        instrs.push(Instr::Branch {
+            cond: ffsim_isa::BranchCond::Ne,
+            rs1: Reg::new(31),
+            rs2: Reg::ZERO,
+            target: loop_start,
+        });
+        instrs.push(Instr::Halt);
+        let program = Program::new(base, instrs);
+
+        let mut cfg = SimConfig::with_core(
+            CoreConfig::tiny_for_tests(),
+            WrongPathMode::ConvergenceExploitation,
+        );
+        cfg.handoff_batch = batch;
+        let window = Simulator::new(program.clone(), Memory::new(), cfg.clone())
+            .unwrap().run().unwrap();
+        let peeks = Simulator::with_technique(
+            program,
+            Memory::new(),
+            cfg.clone(),
+            Box::new(ConvOverPeeks(ConvergenceTechnique::new(&cfg))),
+        ).unwrap().run().unwrap();
+        prop_assert_eq!(window.cycles, peeks.cycles, "batch {} changed cycles", batch);
+        prop_assert_eq!(window.instructions, peeks.instructions);
+        prop_assert_eq!(window.wrong_path_instructions, peeks.wrong_path_instructions);
+        prop_assert_eq!(window.branch, peeks.branch);
+        prop_assert_eq!(window.convergence, peeks.convergence);
+        prop_assert_eq!(window.code_cache, peeks.code_cache);
+        prop_assert_eq!(window.l1d, peeks.l1d);
+        prop_assert_eq!(window.state_digest, peeks.state_digest);
+        prop_assert_eq!(window.cpi.total(), peeks.cpi.total());
     }
 
     /// Observer-effect invariant: enabling CPI/event tracing never changes

@@ -202,6 +202,16 @@ pub trait FetchSource: Send + std::fmt::Debug {
     }
     /// Peeks `index` entries ahead (0 = next to pop) without consuming.
     fn peek(&mut self, index: usize) -> Option<&StreamEntry>;
+    /// Borrows the next `n` entries in place, as the two halves of a ring
+    /// buffer: their concatenation equals `peek(0)`, `peek(1)`, … up to
+    /// the first `None`, so it is shorter than `n` at end of stream or past
+    /// the source's peek depth. Lets a consumer scan the runahead window
+    /// without a call or a copy per entry. The default returns `None`, and
+    /// callers fall back to [`FetchSource::peek`].
+    fn peek_window(&mut self, n: usize) -> Option<(&[StreamEntry], &[StreamEntry])> {
+        let _ = n;
+        None
+    }
     /// The fault that ended the stream, if any.
     fn fault(&self) -> Option<Fault>;
     /// Whether the stream-ending fault occurred on a wrong path.
@@ -236,6 +246,10 @@ impl<P: FrontendPolicy + Send + std::fmt::Debug> FetchSource for InstrQueue<P> {
 
     fn peek(&mut self, index: usize) -> Option<&StreamEntry> {
         InstrQueue::peek(self, index)
+    }
+
+    fn peek_window(&mut self, n: usize) -> Option<(&[StreamEntry], &[StreamEntry])> {
+        Some(InstrQueue::peek_window(self, n))
     }
 
     fn fault(&self) -> Option<Fault> {
@@ -533,6 +547,21 @@ impl<P: FrontendPolicy> InstrQueue<P> {
         self.buf.get(index)
     }
 
+    /// The next `n` entries (clamped to the queue depth) as two borrowed
+    /// slices whose concatenation equals [`InstrQueue::peek`] at
+    /// `0..n` up to its first `None`. Extends the runahead like `peek`;
+    /// after every [`InstrQueue::pop`] or [`InstrQueue::fill`] the buffer
+    /// already holds `depth` entries unless the stream ended, so this is
+    /// usually just [`VecDeque::as_slices`].
+    pub fn peek_window(&mut self, n: usize) -> (&[StreamEntry], &[StreamEntry]) {
+        let n = n.min(self.depth);
+        self.refill_to(n);
+        let (front, back) = self.buf.as_slices();
+        let front = &front[..front.len().min(n)];
+        let back = &back[..back.len().min(n - front.len())];
+        (front, back)
+    }
+
     /// Number of entries currently buffered.
     #[must_use]
     pub fn buffered(&self) -> usize {
@@ -668,6 +697,70 @@ mod tests {
         // Program is li, addi, bnez (not taken), halt = 4 instructions.
         assert!(q.peek(3).is_some());
         assert!(q.peek(4).is_none());
+    }
+
+    /// Concatenates `peek_window(n)` and checks it against `peek(0..n)`:
+    /// same entries, and `peek` is `None` right past a short window.
+    /// Returns whether the window spanned the ring buffer's wrap point.
+    fn assert_window_matches_peek<P: FrontendPolicy>(q: &mut InstrQueue<P>, n: usize) -> bool {
+        let (front, back) = q.peek_window(n);
+        let window: Vec<StreamEntry> = front.iter().chain(back).cloned().collect();
+        let wrapped = !front.is_empty() && !back.is_empty();
+        assert!(window.len() <= n);
+        for (i, e) in window.iter().enumerate() {
+            assert_eq!(q.peek(i), Some(e), "entry {i} of a {n}-entry window");
+        }
+        assert!(window.len() == n || q.peek(window.len()).is_none());
+        wrapped
+    }
+
+    #[test]
+    fn peek_window_matches_peek_across_the_wrap_point() {
+        let mut q = InstrQueue::new(
+            Emulator::new(counted_program(100)).unwrap(),
+            NoFrontendWrongPath,
+            8,
+        );
+        let mut wrapped = false;
+        for _ in 0..40 {
+            for n in [0, 1, 5, 8] {
+                wrapped |= assert_window_matches_peek(&mut q, n);
+            }
+            q.pop().unwrap();
+        }
+        assert!(wrapped, "the ring buffer never wrapped");
+    }
+
+    #[test]
+    fn peek_window_is_short_at_stream_end() {
+        let mut q = InstrQueue::new(
+            Emulator::new(counted_program(1)).unwrap(),
+            NoFrontendWrongPath,
+            64,
+        );
+        // Program is li, addi, bnez (not taken), halt = 4 instructions.
+        let (front, back) = q.peek_window(10);
+        assert_eq!(front.len() + back.len(), 4);
+        assert_window_matches_peek(&mut q, 10);
+        assert!(q.peek(4).is_none());
+        q.pop().unwrap();
+        let (front, back) = q.peek_window(10);
+        assert_eq!(front.len() + back.len(), 3);
+        assert_window_matches_peek(&mut q, 10);
+    }
+
+    #[test]
+    fn peek_window_clamps_to_depth() {
+        let mut q = InstrQueue::new(
+            Emulator::new(counted_program(100)).unwrap(),
+            NoFrontendWrongPath,
+            8,
+        );
+        q.pop().unwrap();
+        let (front, back) = q.peek_window(50);
+        assert_eq!(front.len() + back.len(), 8);
+        assert_window_matches_peek(&mut q, 50);
+        assert!(q.peek(8).is_none());
     }
 
     /// Policy that requests wrong-path emulation at every not-taken
